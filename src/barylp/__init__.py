@@ -14,21 +14,16 @@ from .measures import (
     validate_problem,
 )
 from .support import (
-    Combination,
     CombinationBlowupError,
     GridRegimeError,
     HybridSplit,
     SupportAtlas,
-    atlas_from_json,
-    atlas_to_json,
     build_atlas_exact,
     build_atlas_grid,
+    combination_chunks,
     combination_count,
     count_dice,
-    enumerate_combinations,
     hybrid_split,
-    problem_digest,
-    weighted_mean,
 )
 from .models import (
     FormulationError,
@@ -39,7 +34,6 @@ from .models import (
     build_original,
     build_reduced,
     build_transportation,
-    cost_fixed,
     predict_sizes,
     variable_reduction,
 )

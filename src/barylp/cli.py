@@ -53,24 +53,22 @@ EXIT_SOLVER = 4
 FORMULATIONS = ("original", "reduced", "general", "hybrid")
 MAX_DETECTED_SIDE = 1024
 
+# The CLI prices with the largest-reduced-cost rule (it falls back to
+# Bland's rule on its own when cycling is suspected); the library default
+# stays Bland's rule.
+PIVOT_RULE = "dantzig"
+
 
 @dataclass
 class RunConfig:
-    """Resolved CLI options controlling one pipeline run.
+    """Resolved CLI options controlling one pipeline run."""
 
-    The CLI prices with the largest-reduced-cost rule (it falls back to
-    Bland's rule on its own when cycling is suspected); the library default
-    stays Bland's rule.
-    """
-
-    formulations: tuple[str, ...] = FORMULATIONS
     regime: str = "auto"
     dedup_tol: float = DEFAULT_DEDUP_TOL
     cap: int = DEFAULT_COMBINATION_CAP
     max_iters: int = 100_000
     out: str | None = None
     fmt: str = "json"
-    pivot_rule: str = "dantzig"
 
 
 class CliError(Exception):
@@ -194,6 +192,25 @@ def _select_formulations(flag: str, problem: Problem) -> tuple[str, ...]:
     return (flag,)
 
 
+def _run(name: str, problem: Problem, atlas: SupportAtlas, config: RunConfig):
+    """Build and solve one formulation, timing both on stderr; extract the
+    barycenter when the solve is optimal (otherwise it is None)."""
+    t0 = time.perf_counter()
+    model = _build_model(name, problem, atlas, config)
+    t1 = time.perf_counter()
+    solution = solve(model, max_iters=config.max_iters, pivot_rule=PIVOT_RULE)
+    t2 = time.perf_counter()
+    print(f"[time] {name} build {t1 - t0:.3f}s solve {t2 - t1:.3f}s", file=sys.stderr)
+    if solution.status != "optimal":
+        return model, solution, None
+    # general and transportation columns carry no atlas indices
+    bary = extract_barycenter(
+        solution, model, problem,
+        atlas=atlas if name not in ("general", "transportation") else None,
+    )
+    return model, solution, bary
+
+
 def cmd_solve(args) -> int:
     config = _config_from(args)
     problem = _load(config, args.input)
@@ -206,25 +223,14 @@ def cmd_solve(args) -> int:
     bound = sum(problem.sizes) - problem.n + 1
     failures = 0
     for name in formulations:
-        t0 = time.perf_counter()
-        model = _build_model(name, problem, atlas, config)
-        t1 = time.perf_counter()
-        solution = solve(
-            model, max_iters=config.max_iters, pivot_rule=config.pivot_rule
-        )
-        t2 = time.perf_counter()
-        print(f"[time] {name} build {t1 - t0:.3f}s solve {t2 - t1:.3f}s", file=sys.stderr)
+        model, solution, bary = _run(name, problem, atlas, config)
         print(f"formulation: {name}")
         print(f"  model: {model.num_vars} vars, {model.num_constraints} rows, {model.num_nonzeros} nonzeros")
         print(f"  status: {solution.status}")
-        if solution.status != "optimal":
+        if bary is None:
             failures += 1
             continue
         print(f"  objective: {solution.objective_value:.10g}")
-        bary = extract_barycenter(
-            solution, model, problem,
-            atlas=atlas if name not in ("general", "transportation") else None,
-        )
         print(f"  support size: {len(bary.support)} (sparsity bound {bound})")
         print(f"  checks: {bary.verification.summary()}")
         if config.out:
@@ -258,21 +264,10 @@ def cmd_compare(args) -> int:
     objectives = {}
     support_ok = True
     for name in formulations:
-        t0 = time.perf_counter()
-        model = _build_model(name, problem, atlas, config)
-        t1 = time.perf_counter()
-        solution = solve(
-            model, max_iters=config.max_iters, pivot_rule=config.pivot_rule
-        )
-        t2 = time.perf_counter()
-        print(f"[time] {name} build {t1 - t0:.3f}s solve {t2 - t1:.3f}s", file=sys.stderr)
-        if solution.status != "optimal":
+        model, solution, bary = _run(name, problem, atlas, config)
+        if bary is None:
             raise CliError(EXIT_SOLVER, f"{name}: solver returned {solution.status}")
         objectives[name] = solution.objective_value
-        bary = extract_barycenter(
-            solution, model, problem,
-            atlas=atlas if name not in ("general", "transportation") else None,
-        )
         if len(bary.support) > bound:
             support_ok = False
         print(

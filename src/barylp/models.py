@@ -15,7 +15,10 @@ Five interchangeable models of the same optimization problem:
 
 All models are pure equality-constrained LPs over nonnegative variables.
 Variables are ordered z-block, then y-block by (i, j, k), then w-block by
-combination ordinal, so builds are deterministic.
+combination ordinal, so builds are deterministic.  The z- and y-blocks and
+the balance rows come from one builder shared by ``original``, ``reduced``
+and ``hybrid``; the w-block of ``general`` and ``hybrid`` is computed by the
+combination kernel of :mod:`barylp.support` and assembled column-wise.
 """
 
 from __future__ import annotations
@@ -29,11 +32,9 @@ import scipy.sparse as sp
 from .measures import Problem
 from .support import (
     DEFAULT_COMBINATION_CAP,
-    Combination,
     HybridSplit,
     SupportAtlas,
-    enumerate_combinations,
-    weighted_mean,
+    combination_chunks,
 )
 
 
@@ -94,16 +95,6 @@ def _sq_dist(a: Sequence[float], b: Sequence[float]) -> float:
     return sum((ai - bi) ** 2 for ai, bi in zip(a, b))
 
 
-def cost_fixed(combo: Combination, problem: Problem) -> float:
-    """Cost of routing one unit of mass from the combination's weighted
-    mean to each of its constituent support points."""
-    mean = weighted_mean(combo, problem)
-    return sum(
-        problem.weights[i] * _sq_dist(mean, problem.measures[i].points[k])
-        for i, k in enumerate(combo.indices)
-    )
-
-
 class _Assembler:
     """Accumulates triplets and metadata, then freezes a model."""
 
@@ -116,6 +107,7 @@ class _Assembler:
         self._rows: list[int] = []
         self._cols: list[int] = []
         self._vals: list[float] = []
+        self._fixed_rows = np.empty((0, 0), dtype=np.int64)
 
     def add_var(self, meta, cost: float) -> int:
         self.var_meta.append(meta)
@@ -132,11 +124,54 @@ class _Assembler:
         self._cols.append(col)
         self._vals.append(val)
 
+    def add_fixed_transport(
+        self,
+        problem: Problem,
+        marginal: list[list[int]],
+        ordinals: np.ndarray | None,
+        cap: int,
+    ) -> None:
+        """Append one ``("w", h)`` column per combination ordinal h (every
+        combination when None) with unit entries in its n marginal rows.
+
+        Its cost routes one unit of mass from the combination's weighted
+        mean to each constituent point: sum_i lambda_i |mean - x_{i,k_i}|^2.
+        Must be the last columns added.
+        """
+        first_row = np.array([rows[0] for rows in marginal], dtype=np.int64)
+        points = [np.asarray(m.points, dtype=np.float64) for m in problem.measures]
+        rows, costs = [], []
+        for idx, mean in combination_chunks(problem, problem.weights, ordinals, cap):
+            cost = np.zeros(len(idx))
+            for i, lam in enumerate(problem.weights):
+                diff = mean - points[i][idx[:, i]]
+                sq = np.zeros(len(idx))
+                for l in range(problem.dimension):
+                    sq += diff[:, l] ** 2
+                cost += lam * sq
+            rows.append(idx + first_row)
+            costs.append(cost)
+        self._fixed_rows = np.concatenate(rows)
+        if ordinals is None:
+            ordinals = np.arange(len(self._fixed_rows))
+        self.var_meta.extend(("w", h) for h in ordinals.tolist())
+        self.obj.extend(np.concatenate(costs).tolist())
+
     def freeze(self) -> LpModel:
         shape = (len(self.rhs), len(self.obj))
+        fixed, n = self._fixed_rows.shape
         matrix = sp.csr_matrix(
-            (self._vals, (self._rows, self._cols)), shape=shape, dtype=np.float64
+            (self._vals, (self._rows, self._cols)),
+            shape=(shape[0], shape[1] - fixed),
+            dtype=np.float64,
         )
+        if fixed:
+            # every fixed-transport column holds exactly n unit entries
+            block = sp.csc_matrix(
+                (np.ones(fixed * n), self._fixed_rows.ravel(), n * np.arange(fixed + 1)),
+                shape=(shape[0], fixed),
+            )
+            matrix = sp.hstack([matrix, block], format="csr")
         return LpModel(
             formulation=self.formulation,
             objective=np.asarray(self.obj, dtype=np.float64),
@@ -156,16 +191,22 @@ def _marginal_rows(asm: _Assembler, problem: Problem) -> list[list[int]]:
     return rows
 
 
-def build_original(atlas: SupportAtlas, problem: Problem) -> LpModel:
-    """Baseline model: every candidate transports to every original point."""
-    asm = _Assembler("original")
-    npts = atlas.point_count
+def _mass_transport(
+    asm: _Assembler,
+    atlas: SupportAtlas,
+    problem: Problem,
+    candidates: Sequence[int],
+    pruned: bool,
+) -> list[list[int]]:
+    """Add the z-columns and balance rows of ``candidates``, the marginal
+    rows, then one y-column from each candidate j to each point k of each
+    measure i: every point, or with ``pruned`` only the pairs (i, k) in
+    ``atlas.sources(j)``.  Returns the marginal rows."""
     n = problem.n
-
-    z_col = [asm.add_var(("z", j), 0.0) for j in range(npts)]
+    z_col = {j: asm.add_var(("z", j), 0.0) for j in candidates}
     balance = {}
     for i in range(n):
-        for j in range(npts):
+        for j in candidates:
             r = asm.add_row(("balance", i, j), 0.0)
             asm.add_entry(r, z_col[j], -1.0)
             balance[i, j] = r
@@ -173,40 +214,30 @@ def build_original(atlas: SupportAtlas, problem: Problem) -> LpModel:
 
     for i, m in enumerate(problem.measures):
         lam = problem.weights[i]
-        for j in range(npts):
+        for j in candidates:
             xj = atlas.support_points[j]
-            for k in range(len(m)):
+            if pruned:
+                targets = [k for src_i, k in atlas.sources(j) if src_i == i]
+            else:
+                targets = range(len(m))
+            for k in targets:
                 c = asm.add_var(("y", i, j, k), lam * _sq_dist(xj, m.points[k]))
                 asm.add_entry(balance[i, j], c, 1.0)
                 asm.add_entry(marginal[i][k], c, 1.0)
+    return marginal
+
+
+def build_original(atlas: SupportAtlas, problem: Problem) -> LpModel:
+    """Baseline model: every candidate transports to every original point."""
+    asm = _Assembler("original")
+    _mass_transport(asm, atlas, problem, range(atlas.point_count), pruned=False)
     return asm.freeze()
 
 
 def build_reduced(atlas: SupportAtlas, problem: Problem) -> LpModel:
     """Original model restricted to transports the mean structure allows."""
     asm = _Assembler("reduced")
-    npts = atlas.point_count
-    n = problem.n
-
-    z_col = [asm.add_var(("z", j), 0.0) for j in range(npts)]
-    balance = {}
-    for i in range(n):
-        for j in range(npts):
-            r = asm.add_row(("balance", i, j), 0.0)
-            asm.add_entry(r, z_col[j], -1.0)
-            balance[i, j] = r
-    marginal = _marginal_rows(asm, problem)
-
-    for i, m in enumerate(problem.measures):
-        lam = problem.weights[i]
-        for j in range(npts):
-            xj = atlas.support_points[j]
-            for src_i, k in atlas.sources(j):
-                if src_i != i:
-                    continue
-                c = asm.add_var(("y", i, j, k), lam * _sq_dist(xj, m.points[k]))
-                asm.add_entry(balance[i, j], c, 1.0)
-                asm.add_entry(marginal[i][k], c, 1.0)
+    _mass_transport(asm, atlas, problem, range(atlas.point_count), pruned=True)
     return asm.freeze()
 
 
@@ -216,11 +247,7 @@ def build_general(
     """Fixed-transport model: one variable per combination, no candidate
     deduplication (worst-case size, minimal constraints)."""
     asm = _Assembler("general")
-    marginal = _marginal_rows(asm, problem)
-    for combo in enumerate_combinations(problem, cap):
-        c = asm.add_var(("w", combo.ordinal), cost_fixed(combo, problem))
-        for i, k in enumerate(combo.indices):
-            asm.add_entry(marginal[i][k], c, 1.0)
+    asm.add_fixed_transport(problem, _marginal_rows(asm, problem), None, cap)
     return asm.freeze()
 
 
@@ -260,36 +287,12 @@ def build_hybrid(
     if split.y_points and max(split.y_points) >= atlas.point_count:
         raise FormulationError("split references unknown candidate indices")
     asm = _Assembler("hybrid")
-    n = problem.n
     y_sorted = sorted(split.y_points)
-
-    z_col = {j: asm.add_var(("z", j), 0.0) for j in y_sorted}
-    balance = {}
-    for i in range(n):
-        for j in y_sorted:
-            r = asm.add_row(("balance", i, j), 0.0)
-            asm.add_entry(r, z_col[j], -1.0)
-            balance[i, j] = r
-    marginal = _marginal_rows(asm, problem)
-
-    for i, m in enumerate(problem.measures):
-        lam = problem.weights[i]
-        for j in y_sorted:
-            xj = atlas.support_points[j]
-            for src_i, k in atlas.sources(j):
-                if src_i != i:
-                    continue
-                c = asm.add_var(("y", i, j, k), lam * _sq_dist(xj, m.points[k]))
-                asm.add_entry(balance[i, j], c, 1.0)
-                asm.add_entry(marginal[i][k], c, 1.0)
-
-    uses_y = split.uses_y
-    for combo in enumerate_combinations(problem, cap):
-        if uses_y(atlas.combo_candidate(combo, problem)):
-            continue
-        c = asm.add_var(("w", combo.ordinal), cost_fixed(combo, problem))
-        for i, k in enumerate(combo.indices):
-            asm.add_entry(marginal[i][k], c, 1.0)
+    marginal = _mass_transport(asm, atlas, problem, y_sorted, pruned=True)
+    on_y = np.zeros(atlas.point_count, dtype=bool)
+    on_y[y_sorted] = True
+    fixed = np.flatnonzero(~on_y[atlas.combination_candidates(problem, cap)])
+    asm.add_fixed_transport(problem, marginal, fixed, cap)
     return asm.freeze()
 
 

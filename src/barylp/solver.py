@@ -26,7 +26,7 @@ from scipy.linalg.blas import dger
 
 from .measures import Problem
 from .models import LpModel
-from .support import SupportAtlas, _Quantizer
+from .support import SupportAtlas, _key_tuples, _Quantizer, combination_chunks
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
@@ -432,14 +432,6 @@ class BarycenterSolution:
         return tuple(pt for pt, _ in self.support)
 
 
-def _decode_combo(h: int, sizes: Sequence[int]) -> tuple[int, ...]:
-    idx = []
-    for size in reversed(sizes):
-        idx.append(h % size)
-        h //= size
-    return tuple(reversed(idx))
-
-
 def _plan_cost(
     support: Sequence[tuple[tuple[float, ...], float]],
     transport: Sequence[tuple[int, int, int, float]],
@@ -494,14 +486,31 @@ def extract_barycenter(
         point_by_key.setdefault(key, point)
         mass_by_key[key] = mass_by_key.get(key, 0.0) + mass
 
-    sw = quant.scaled_weights
+    values = np.asarray(solution.values, dtype=np.float64)
+    metas = model.var_meta
     dropped = 0.0
-    for col, meta in enumerate(model.var_meta):
-        value = float(solution.values[col])
-        if value <= drop_threshold:
-            if value > 0.0:
-                dropped += value if meta[0] != "y" else 0.0
-            continue
+    for col in np.flatnonzero((values > 0.0) & (values <= drop_threshold)).tolist():
+        if metas[col][0] != "y":
+            dropped += float(values[col])
+    kept = np.flatnonzero(values > drop_threshold).tolist()
+
+    # Means of the kept fixed-transport combinations, in scaled coordinates
+    # so they merge with atlas points under the same key.
+    w_cols = [col for col in kept if metas[col][0] == "w"]
+    ordinals = np.array([metas[col][1] for col in w_cols], dtype=np.int64)
+    # the model already holds these columns, so the cap is moot
+    chunks = combination_chunks(
+        problem, quant.scaled_weights, ordinals, cap=problem.combination_total()
+    )
+    idx, scaled = (np.concatenate(parts) for parts in zip(*chunks))
+    w_row = {col: r for r, col in enumerate(w_cols)}
+    w_keys = list(_key_tuples(quant.keys(scaled)))
+    w_points = list(map(tuple, (scaled / quant.scale).tolist()))
+    w_indices = idx.tolist()
+
+    for col in kept:
+        meta = metas[col]
+        value = float(values[col])
         kind = meta[0]
         if kind == "z":
             if atlas is None:
@@ -509,32 +518,23 @@ def extract_barycenter(
             point = atlas.support_points[meta[1]]
             credit(quant.key_of_point(point), point, value)
         elif kind == "w":
-            indices = _decode_combo(meta[1], problem.sizes)
-            d = problem.dimension
-            scaled = [0.0] * d
-            for i, k in enumerate(indices):
-                pt = problem.measures[i].points[k]
-                for l in range(d):
-                    scaled[l] += sw[i] * pt[l]
-            key = quant.key(scaled)
-            point = tuple(c / quant.scale for c in scaled)
-            credit(key, point, value)
-            for i, k in enumerate(indices):
+            r = w_row[col]
+            key = w_keys[r]
+            credit(key, w_points[r], value)
+            for i, k in enumerate(w_indices[r]):
                 flow[(i, key, k)] = flow.get((i, key, k), 0.0) + value
         elif kind != "y":
             raise ExtractionError(f"unknown variable tag {meta!r}")
 
     # Transport variables reference atlas points directly.
-    for col, meta in enumerate(model.var_meta):
+    for col in kept:
+        meta = metas[col]
         if meta[0] != "y":
-            continue
-        value = float(solution.values[col])
-        if value <= drop_threshold:
             continue
         _, i, j, k = meta
         point = atlas.support_points[j]
         key = quant.key_of_point(point)
-        flow[(i, key, k)] = flow.get((i, key, k), 0.0) + value
+        flow[(i, key, k)] = flow.get((i, key, k), 0.0) + float(values[col])
 
     keys = sorted(mass_by_key, key=lambda key: point_by_key[key])
     index_of = {key: idx for idx, key in enumerate(keys)}

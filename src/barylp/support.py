@@ -1,10 +1,11 @@
 """Candidate-support construction for barycenter LPs.
 
 Every barycenter is supported on weighted means of one support point per
-measure.  This module enumerates those combinations, deduplicates their
-means into a candidate point set with full incidence structure (the
-"atlas"), counts how many combinations collapse onto each candidate, and
-splits candidates between fixed-transport and mass/transport variable
+measure.  This module holds the one kernel that decodes such combinations
+and computes their means (``combination_chunks``), deduplicates the means
+into a candidate point set with full incidence structure (the "atlas"),
+counts how many combinations collapse onto each candidate, and splits
+candidates between fixed-transport and mass/transport variable
 representations for the hybrid model.
 
 Two construction regimes exist: ``exact`` walks every combination and
@@ -16,13 +17,11 @@ candidates).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +32,9 @@ DEFAULT_DEDUP_TOL = 1e-9
 
 _RATIONALIZE_DENOM_CAP = 10**6
 
+# Combinations per kernel chunk: bounds the kernel's temporaries to a few MB.
+COMBINATION_CHUNK = 1 << 16
+
 
 class CombinationBlowupError(RuntimeError):
     """Raised when the combination count exceeds the configured cap."""
@@ -42,46 +44,52 @@ class GridRegimeError(InvariantError):
     """Grid-regime preconditions violated (off-lattice point or weights)."""
 
 
-class Combination(NamedTuple):
-    """One support point chosen per measure, identified by its ordinal in
-    the lexicographic enumeration."""
+def combination_chunks(
+    problem: Problem,
+    weights: Sequence[float],
+    ordinals: np.ndarray | None = None,
+    cap: int = DEFAULT_COMBINATION_CAP,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Index matrices and weighted means of combinations, chunk by chunk.
 
-    indices: tuple[int, ...]
-    ordinal: int
-
-
-def enumerate_combinations(
-    problem: Problem, cap: int = DEFAULT_COMBINATION_CAP
-) -> Iterator[Combination]:
-    """Yield all combinations in lexicographic index order.
-
-    Refuses up front when the total count exceeds ``cap``.
+    A combination picks point ``k_i`` of every measure i; its ordinal is its
+    position in the lexicographic order of ``(k_1, ..., k_n)``.  For each
+    chunk of ``ordinals`` (every combination in order when None) yields the
+    ``(len, n)`` index matrix and the ``(len, d)`` means
+    ``sum_i weights[i] * x_{i,k_i}``, summed measure by measure from zero so
+    they equal the scalar left-to-right sum exactly.  At least one chunk is
+    yielded, even for no ordinals.  Refuses up front, before any chunk,
+    when the problem has more than ``cap`` combinations.
     """
     total = problem.combination_total()
     if total > cap:
         raise CombinationBlowupError(
             f"combination blowup: {total} combinations exceed cap {cap}"
         )
+    sizes = np.asarray(problem.sizes, dtype=np.int64)
+    strides = np.ones_like(sizes)
+    strides[:-1] = np.cumprod(sizes[::-1])[::-1][1:]
+    scaled = [
+        w * np.asarray(m.points, dtype=np.float64)
+        for w, m in zip(weights, problem.measures)
+    ]
+    count = total if ordinals is None else len(ordinals)
 
     def generate():
-        for h, idx in enumerate(
-            itertools.product(*(range(s) for s in problem.sizes))
-        ):
-            yield Combination(idx, h)
+        for start in range(0, max(count, 1), COMBINATION_CHUNK):
+            stop = min(start + COMBINATION_CHUNK, count)
+            h = (
+                np.arange(start, stop, dtype=np.int64)
+                if ordinals is None
+                else np.asarray(ordinals[start:stop], dtype=np.int64)
+            )
+            idx = h[:, None] // strides % sizes
+            means = np.zeros((len(h), problem.dimension))
+            for i, pts in enumerate(scaled):
+                means += pts[idx[:, i]]
+            yield idx, means
 
     return generate()
-
-
-def weighted_mean(combo: Combination, problem: Problem) -> tuple[float, ...]:
-    """Componentwise weighted mean of the combination's support points."""
-    d = problem.dimension
-    out = [0.0] * d
-    for i, k in enumerate(combo.indices):
-        w = problem.weights[i]
-        pt = problem.measures[i].points[k]
-        for l in range(d):
-            out[l] += w * pt[l]
-    return tuple(out)
 
 
 class _Quantizer:
@@ -125,9 +133,20 @@ class _Quantizer:
         q = self.quantum
         return tuple(int(round(c / q)) for c in scaled_point)
 
+    def keys(self, scaled_points: np.ndarray) -> np.ndarray:
+        """Row-wise ``key`` as integral floats: ``np.rint`` rounds half to
+        even like ``round``, and adding zero folds -0.0 into 0.0."""
+        return np.rint(scaled_points / self.quantum) + 0.0
+
     def key_of_point(self, point: Sequence[float]) -> tuple[int, ...]:
         s = self.scale
         return self.key([c * s for c in point])
+
+
+def _key_tuples(keys: np.ndarray) -> Iterator[tuple[int, ...]]:
+    """Rows of ``_Quantizer.keys`` as the tuples ``_Quantizer.key`` gives
+    (Python ints, exact at any magnitude)."""
+    return zip(*(map(int, column) for column in keys.T.tolist()))
 
 
 @dataclass(frozen=True)
@@ -139,6 +158,8 @@ class SupportAtlas:
     use support point k of measure i; ``sources(j)`` is the transpose.
     ``multiplicity[j]`` counts combinations collapsing onto candidate j
     (exactly in the exact regime, by the closed-form dice count on grids).
+    The exact regime also stores the candidate of every combination, by
+    ordinal; ``combination_candidates`` returns it in both regimes.
     """
 
     support_points: tuple[tuple[float, ...], ...]
@@ -173,19 +194,27 @@ class SupportAtlas:
         """Index of a generated candidate point (KeyError if not generated)."""
         return self._key_to_index[self._quantizer.key_of_point(point)]
 
-    def combo_candidate(self, combo: Combination, problem: Problem) -> int:
-        """Candidate index of a combination's weighted mean."""
+    def combination_candidates(
+        self, problem: Problem, cap: int = DEFAULT_COMBINATION_CAP
+    ) -> np.ndarray:
+        """Candidate index of every combination's weighted mean, by ordinal.
+
+        The exact regime stores this map.  The grid regime looks each
+        combination's key up among the lattice candidates, refusing when
+        the problem has more than ``cap`` combinations.
+        """
         if self._combo_to_index is not None:
-            return int(self._combo_to_index[combo.ordinal])
-        sw = self._quantizer.scaled_weights
-        d = problem.dimension
-        scaled = [0.0] * d
-        for i, k in enumerate(combo.indices):
-            pt = problem.measures[i].points[k]
-            w = sw[i]
-            for l in range(d):
-                scaled[l] += w * pt[l]
-        return self._key_to_index[self._quantizer.key(scaled)]
+            return self._combo_to_index
+        quant = self._quantizer
+        out = []
+        for _, scaled in combination_chunks(problem, quant.scaled_weights, cap=cap):
+            keys, inverse = np.unique(quant.keys(scaled), axis=0, return_inverse=True)
+            index = np.array(
+                [self._key_to_index[key] for key in _key_tuples(keys)],
+                dtype=np.int64,
+            )
+            out.append(index[inverse.reshape(-1)])
+        return np.concatenate(out)
 
 
 def build_atlas_exact(
@@ -193,81 +222,82 @@ def build_atlas_exact(
     dedup_tol: float = DEFAULT_DEDUP_TOL,
     cap: int = DEFAULT_COMBINATION_CAP,
 ) -> SupportAtlas:
-    """Enumerate every combination and deduplicate the weighted means."""
-    total = problem.combination_total()
-    if total > cap:
-        raise CombinationBlowupError(
-            f"combination blowup: {total} combinations exceed cap {cap}"
-        )
+    """Enumerate every combination and deduplicate the weighted means.
+
+    Means accumulate with the quantizer's scaled weights, so rational
+    weights stay in integer arithmetic.  Each candidate keeps the mean of
+    the first combination (by ordinal) that hits its key.
+    """
     quant = _Quantizer(problem, dedup_tol)
-    d = problem.dimension
+    # refuses over the cap before the combination-sized arrays below exist
+    chunks = combination_chunks(problem, quant.scaled_weights, cap=cap)
     n = problem.n
-    # (k, scaled point) pairs per measure; combination means accumulate the
-    # scaled coordinates so rational weights stay in integer arithmetic.
-    contrib = [
-        [
-            (k, tuple(quant.scaled_weights[i] * c for c in pt))
-            for k, pt in enumerate(m.points)
-        ]
-        for i, m in enumerate(problem.measures)
-    ]
+    total = problem.combination_total()
 
-    key_to_tmp: dict[tuple[int, ...], int] = {}
-    scaled_points: list[tuple[float, ...]] = []
-    counts: list[int] = []
-    reach_sets: list[list[set[int]]] = [
-        [set() for _ in range(len(m))] for m in problem.measures
-    ]
-    combo_to_tmp = np.empty(total, dtype=np.int64)
-
-    for h, picks in enumerate(itertools.product(*contrib)):
-        scaled = [0.0] * d
-        for _, spt in picks:
-            for l in range(d):
-                scaled[l] += spt[l]
-        key = quant.key(scaled)
-        j = key_to_tmp.get(key)
-        if j is None:
-            j = len(scaled_points)
-            key_to_tmp[key] = j
-            scaled_points.append(tuple(scaled))
-            counts.append(0)
-        counts[j] += 1
-        combo_to_tmp[h] = j
+    # Per chunk: its distinct keys with their first mean, every
+    # combination's chunk-local label (offset to be unique across chunks),
+    # and per measure the distinct (point, label) pairs.
+    chunk_keys, chunk_means = [], []
+    chunk_pairs: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(n)]
+    local = np.empty(total, dtype=np.int64)
+    start = offset = 0
+    for idx, scaled in chunks:
+        keys, first, inverse = np.unique(
+            quant.keys(scaled), axis=0, return_index=True, return_inverse=True
+        )
+        inverse = inverse.reshape(-1)
+        chunk_keys.append(keys)
+        chunk_means.append(scaled[first])
+        local[start:start + len(idx)] = inverse + offset
+        u = len(keys)
         for i in range(n):
-            reach_sets[i][picks[i][0]].add(j)
+            code = _distinct(idx[:, i] * u + inverse)
+            chunk_pairs[i].append((code // u, code % u + offset))
+        start += len(idx)
+        offset += u
+
+    # Across chunks the earliest chunk holding a key supplies its mean.
+    keys, first, inverse = np.unique(
+        np.concatenate(chunk_keys), axis=0, return_index=True, return_inverse=True
+    )
+    scaled_points = np.concatenate(chunk_means)[first]
 
     # Canonical indexing: sort candidates lexicographically by coordinate.
-    order = sorted(range(len(scaled_points)), key=lambda j: scaled_points[j])
-    relabel = np.empty(len(order), dtype=np.int64)
-    for new, old in enumerate(order):
-        relabel[old] = new
+    order = np.lexsort(scaled_points.T[::-1])
+    npts = len(order)
+    relabel = np.empty(npts, dtype=np.int64)
+    relabel[order] = np.arange(npts)
+    label = relabel[inverse.reshape(-1)]
+    combo_to_index = label[local]
 
-    support_points = tuple(
-        tuple(c / quant.scale for c in scaled_points[old]) for old in order
+    # Distinct incidences as (global point id, candidate), where measure i's
+    # points are numbered from offsets[i]; sorted by point for ``reach``
+    # and re-sorted by candidate for ``sources``.
+    offsets = np.cumsum((0,) + problem.sizes).tolist()
+    codes = []
+    for i in range(n):
+        k = np.concatenate([ks for ks, _ in chunk_pairs[i]])
+        j = label[np.concatenate([ls for _, ls in chunk_pairs[i]])]
+        codes.append(_distinct((k + offsets[i]) * npts + j))
+    point, j = np.divmod(np.concatenate(codes), npts)
+    per_point = _groups(j.tolist(), point, offsets[-1])
+    reach = tuple(tuple(per_point[a:b]) for a, b in zip(offsets, offsets[1:]))
+    pair_of = [(i, k) for i, size in enumerate(problem.sizes) for k in range(size)]
+    by_candidate = np.lexsort((point, j))
+    sources = tuple(
+        _groups([pair_of[f] for f in point[by_candidate].tolist()], j[by_candidate], npts)
     )
-    multiplicity = tuple(counts[old] for old in order)
-    key_to_index = {key: int(relabel[tmp]) for key, tmp in key_to_tmp.items()}
-    combo_to_index = relabel[combo_to_tmp]
-
-    reach = tuple(
-        tuple(
-            tuple(sorted(int(relabel[j]) for j in ks)) for ks in measure_sets
-        )
-        for measure_sets in reach_sets
-    )
-    sources = _transpose_reach(reach, len(support_points))
 
     return SupportAtlas(
-        support_points=support_points,
-        multiplicity=multiplicity,
+        support_points=tuple(map(tuple, (scaled_points[order] / quant.scale).tolist())),
+        multiplicity=tuple(np.bincount(combo_to_index, minlength=npts).tolist()),
         regime="exact",
         sizes=problem.sizes,
         combination_total=total,
         fine_grid=None,
         _reach=reach,
         _sources=sources,
-        _key_to_index=key_to_index,
+        _key_to_index=dict(zip(_key_tuples(keys), relabel.tolist())),
         _quantizer=quant,
         _combo_to_index=combo_to_index,
     )
@@ -373,13 +403,18 @@ def build_atlas_grid(problem: Problem, grid: GridSpec | None = None) -> SupportA
     )
 
 
-def _transpose_reach(reach, point_count):
-    sources: list[list[tuple[int, int]]] = [[] for _ in range(point_count)]
-    for i, measure_reach in enumerate(reach):
-        for k, js in enumerate(measure_reach):
-            for j in js:
-                sources[j].append((i, k))
-    return tuple(tuple(sorted(s)) for s in sources)
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """Sorted distinct values; on integer codes a plain sort is several
+    times faster than ``np.unique``, which hashes them."""
+    codes = np.sort(codes)
+    return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+
+
+def _groups(values: list, keys: np.ndarray, count: int) -> list[tuple]:
+    """Split ``values``, sorted by their integer ``keys``, into one tuple
+    per key 0..count-1."""
+    bounds = np.searchsorted(keys, np.arange(count + 1)).tolist()
+    return [tuple(values[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _comb_or_zero(a: int, b: int) -> int:
@@ -418,14 +453,13 @@ class HybridSplit:
     Candidates in ``y_points`` get one mass variable plus transport
     variables; every combination collapsing onto any other candidate gets
     its own fixed-transport variable.  ``budgets[j]`` is the bound the
-    multiplicity was compared against.  ``w_combos`` materializes the
-    fixed-transport combination ordinals when the atlas carries the
-    combination map (exact regime); in the grid regime the set is implicit.
+    multiplicity was compared against.  The fixed-transport combinations
+    themselves are picked by ``build_hybrid`` from the atlas's
+    combination-to-candidate map.
     """
 
     y_points: frozenset[int]
     budgets: tuple[int, ...]
-    w_combos: np.ndarray | None = field(repr=False, default=None)
 
     def uses_y(self, j: int) -> bool:
         return j in self.y_points
@@ -453,99 +487,4 @@ def hybrid_split(atlas: SupportAtlas) -> HybridSplit:
     y_points = frozenset(
         j for j in range(atlas.point_count) if atlas.multiplicity[j] > budgets[j]
     )
-    w_combos = None
-    if atlas._combo_to_index is not None:
-        if y_points:
-            y_mask = np.zeros(atlas.point_count, dtype=bool)
-            y_mask[list(y_points)] = True
-            w_combos = np.nonzero(~y_mask[atlas._combo_to_index])[0]
-        else:
-            w_combos = np.arange(atlas.combination_total, dtype=np.int64)
-    return HybridSplit(y_points=y_points, budgets=budgets, w_combos=w_combos)
-
-
-def problem_digest(problem: Problem) -> str:
-    """Stable content hash used to tag cached atlases."""
-    doc = {
-        "weights": [repr(w) for w in problem.weights],
-        "measures": [
-            {
-                "points": [[repr(c) for c in pt] for pt in m.points],
-                "masses": [repr(v) for v in m.masses],
-            }
-            for m in problem.measures
-        ],
-    }
-    blob = json.dumps(doc, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-ATLAS_DUMP_VERSION = 1
-
-
-def atlas_to_json(atlas: SupportAtlas, problem: Problem) -> str:
-    """Serialize the cacheable part of an atlas (points, incidence,
-    multiplicities, regime) tagged with the problem digest."""
-    doc = {
-        "version": ATLAS_DUMP_VERSION,
-        "problem_digest": problem_digest(problem),
-        "regime": atlas.regime,
-        "sizes": list(atlas.sizes),
-        "combination_total": atlas.combination_total,
-        "support_points": [list(pt) for pt in atlas.support_points],
-        "multiplicity": list(atlas.multiplicity),
-        "reach": [
-            [list(atlas.reachable(i, k)) for k in range(size)]
-            for i, size in enumerate(atlas.sizes)
-        ],
-        "fine_grid": None
-        if atlas.fine_grid is None
-        else {
-            "dim": atlas.fine_grid.dim,
-            "side": atlas.fine_grid.side,
-            "origin": list(atlas.fine_grid.origin),
-            "step": atlas.fine_grid.step,
-        },
-    }
-    return json.dumps(doc)
-
-
-def atlas_from_json(text: str, problem: Problem) -> SupportAtlas:
-    """Rebuild a cached atlas; refuses stale caches via the problem digest.
-
-    The combination map is not serialized, so hybrid model construction on a
-    restored exact atlas falls back to coordinate lookups.
-    """
-    doc = json.loads(text)
-    if doc.get("version") != ATLAS_DUMP_VERSION:
-        raise InvariantError(f"unsupported atlas dump version {doc.get('version')}")
-    if doc.get("problem_digest") != problem_digest(problem):
-        raise InvariantError("atlas cache does not match this problem")
-    support_points = tuple(tuple(float(c) for c in pt) for pt in doc["support_points"])
-    reach = tuple(
-        tuple(tuple(int(j) for j in ks) for ks in measure_reach)
-        for measure_reach in doc["reach"]
-    )
-    quant = _Quantizer(problem)
-    key_to_index = {
-        quant.key_of_point(pt): j for j, pt in enumerate(support_points)
-    }
-    fg = doc.get("fine_grid")
-    fine = (
-        None
-        if fg is None
-        else GridSpec(dim=fg["dim"], side=fg["side"], origin=tuple(fg["origin"]), step=fg["step"])
-    )
-    return SupportAtlas(
-        support_points=support_points,
-        multiplicity=tuple(int(v) for v in doc["multiplicity"]),
-        regime=doc["regime"],
-        sizes=tuple(int(s) for s in doc["sizes"]),
-        combination_total=int(doc["combination_total"]),
-        fine_grid=fine,
-        _reach=reach,
-        _sources=_transpose_reach(reach, len(support_points)),
-        _key_to_index=key_to_index,
-        _quantizer=quant,
-        _combo_to_index=None,
-    )
+    return HybridSplit(y_points=y_points, budgets=budgets)

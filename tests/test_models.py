@@ -1,5 +1,7 @@
 """Model construction: sizes, costs, structure, closed-form predictions."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,15 +13,10 @@ from barylp.models import (
     build_original,
     build_reduced,
     build_transportation,
-    cost_fixed,
     predict_sizes,
     variable_reduction,
 )
-from barylp.support import (
-    build_atlas_exact,
-    enumerate_combinations,
-    hybrid_split,
-)
+from barylp.support import build_atlas_exact, hybrid_split
 
 from conftest import measure, problem
 
@@ -35,20 +32,34 @@ def build_all(p, atlas=None):
     }
 
 
+def plain_fixed_costs(p):
+    """Fixed-transport cost of every combination in ordinal order, in plain
+    Python: sum_i lambda_i |mean - x_{i,k_i}|^2."""
+    costs = []
+    for picks in itertools.product(*(m.points for m in p.measures)):
+        mean = [sum(w * pt[l] for w, pt in zip(p.weights, picks)) for l in range(p.dimension)]
+        costs.append(
+            sum(
+                w * sum((a - b) ** 2 for a, b in zip(mean, pt))
+                for w, pt in zip(p.weights, picks)
+            )
+        )
+    return costs
+
+
 class TestCostFixed:
     def test_shared_point_costs_nothing(self):
         q = [1.0, -3.0]
         p = problem([measure([q], [1.0])] * 3)
-        combo = next(enumerate_combinations(p))
-        assert cost_fixed(combo, p) == 0.0
+        assert build_general(p).objective.tolist() == [0.0]
 
     def test_hand_arithmetic_and_factored_form(self):
         p = problem([measure([[0.0]], [1.0]), measure([[2.0]], [1.0])])
-        combo = next(enumerate_combinations(p))
+        (cost,) = build_general(p).objective
         # mean 1.0; both points at squared distance 1
-        assert cost_fixed(combo, p) == pytest.approx(1.0, abs=1e-15)
+        assert cost == pytest.approx(1.0, abs=1e-15)
         # two-measure factorization: lambda (1 - lambda) ||xk - xl||^2
-        assert cost_fixed(combo, p) == pytest.approx(0.5 * 0.5 * 4.0, abs=1e-15)
+        assert cost == pytest.approx(0.5 * 0.5 * 4.0, abs=1e-15)
 
     def test_quadratic_homogeneity(self):
         p = generators.general_position(3, 2, 2, seed=3)
@@ -59,10 +70,9 @@ class TestCostFixed:
             ],
             weights=p.weights,
         )
-        for ca, cb in zip(enumerate_combinations(p), enumerate_combinations(scaled)):
-            assert cost_fixed(cb, scaled) == pytest.approx(
-                25.0 * cost_fixed(ca, p), rel=1e-12
-            )
+        assert build_general(scaled).objective == pytest.approx(
+            25.0 * build_general(p).objective, rel=1e-12
+        )
 
 
 class TestBuildOriginal:
@@ -76,7 +86,6 @@ class TestBuildOriginal:
 
     def test_single_point_measures(self):
         from barylp.solver import solve
-        from barylp.support import enumerate_combinations as combos
 
         p = problem([measure([[float(i)]], [1.0]) for i in range(3)])
         model = build_original(build_atlas_exact(p), p)
@@ -87,7 +96,7 @@ class TestBuildOriginal:
         assert solution.status == "optimal"
         assert solution.values == pytest.approx([1.0, 1.0, 1.0, 1.0])
         assert solution.objective_value == pytest.approx(
-            cost_fixed(next(combos(p)), p), abs=1e-12
+            plain_fixed_costs(p)[0], abs=1e-12
         )
 
     def test_full_grid_dimensions(self):
@@ -192,10 +201,12 @@ class TestBuildGeneral:
         assert meta == [("w", 0), ("w", 1), ("w", 2), ("w", 3)]
 
     def test_costs_match_cost_fixed(self):
-        p = generators.general_position(3, 2, 2, seed=8)
-        model = build_general(p)
-        for combo, coeff in zip(enumerate_combinations(p), model.objective):
-            assert coeff == pytest.approx(cost_fixed(combo, p), rel=1e-12)
+        for p in [
+            generators.general_position(3, 2, 2, seed=8),
+            generators.general_position(3, 3, 3, seed=8, random_weights=True),
+        ]:
+            model = build_general(p)
+            assert model.objective == pytest.approx(plain_fixed_costs(p), rel=1e-12)
 
 
 class TestBuildTransportation:
@@ -266,24 +277,6 @@ class TestBuildHybrid:
         bad = HybridSplit(y_points=frozenset(), budgets=(1,))
         with pytest.raises(FormulationError):
             build_hybrid(atlas, bad, p)
-
-    def test_restored_atlas_builds_identical_hybrid(self):
-        # a cache round-trip loses the combination map; the builder falls
-        # back to coordinate lookups and must produce the same model
-        from barylp.support import atlas_from_json, atlas_to_json
-
-        p = generators.mixed(3, 2, 1, seed=15)
-        atlas = build_atlas_exact(p)
-        restored = atlas_from_json(atlas_to_json(atlas, p), p)
-        split = hybrid_split(atlas)
-        restored_split = hybrid_split(restored)
-        assert restored_split.y_points == split.y_points
-        assert restored_split.w_combos is None  # map not serialized
-        direct = build_hybrid(atlas, split, p)
-        via_cache = build_hybrid(restored, restored_split, p)
-        assert via_cache.var_meta == direct.var_meta
-        assert np.array_equal(via_cache.objective, direct.objective)
-        assert (via_cache.constraints != direct.constraints).nnz == 0
 
     def test_grid_regime_hybrid_uses_constant_budget(self):
         from barylp.solver import solve

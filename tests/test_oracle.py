@@ -132,6 +132,15 @@ class TestEnumerateDuplicates:
             generators.grid(3, 3, 1, seed=2),
             generators.grid(2, 3, 2, seed=3),
             generators.mixed(3, 2, 1, seed=4),
+            # rational non-uniform weights: the integer-scaled path
+            problem(generators.grid(2, 4, 2, seed=5).measures, weights=[0.25, 0.75]),
+            problem(generators.grid(3, 3, 1, seed=6).measures, weights=[0.25, 0.25, 0.5]),
+            # irrational-looking random weights: the unscaled path
+            generators.general_position(3, 3, 2, seed=7, random_weights=True),
+            generators.grid(2, 3, 3, seed=8),
+            problem([*generators.grid(2, 3, 2, seed=9).measures, measure([[2.0, 1.0]], [1.0])]),
+            # 7^6 = 117 649 combinations: more than one kernel chunk
+            generators.grid(3, 7, 2, seed=10),
         ]
         for p in cases:
             atlas = build_atlas_exact(p)

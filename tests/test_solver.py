@@ -142,8 +142,9 @@ class TestSolve:
             )
 
     def test_combination_ordinals_decode_round_trip(self):
-        from barylp.solver import _decode_combo
-        from barylp.support import enumerate_combinations
+        import itertools
+
+        from barylp.support import combination_chunks
 
         p = problem(
             [
@@ -152,8 +153,10 @@ class TestSolve:
                 measure([[5.0], [6.0]]),
             ]
         )
-        for combo in enumerate_combinations(p):
-            assert _decode_combo(combo.ordinal, p.sizes) == combo.indices
+        direct = list(itertools.product(*(range(s) for s in p.sizes)))
+        ordinals = np.array([7, 0, 11, 3, 3])
+        ((idx, _),) = combination_chunks(p, p.weights, ordinals)
+        assert [tuple(row) for row in idx.tolist()] == [direct[h] for h in ordinals]
 
     def test_redundant_rows_handled(self):
         # transportation rows always carry one dependency; degenerate masses

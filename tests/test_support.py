@@ -1,76 +1,115 @@
-"""Combination enumeration, atlas construction, counting, hybrid split."""
+"""Combination kernel, atlas construction, counting, hybrid split."""
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 
 from barylp import generators
 from barylp.measures import GridSpec, InvariantError
+from barylp.models import build_hybrid
 from barylp.support import (
+    COMBINATION_CHUNK,
     CombinationBlowupError,
     GridRegimeError,
-    atlas_from_json,
-    atlas_to_json,
     build_atlas_exact,
     build_atlas_grid,
+    combination_chunks,
     combination_count,
     count_dice,
-    enumerate_combinations,
     hybrid_split,
-    problem_digest,
-    weighted_mean,
 )
 
 from conftest import measure, problem
 
 
+def kernel(p, ordinals=None, weights=None, cap=10**8):
+    """Index rows and means of the combinations, concatenated over chunks."""
+    weights = p.weights if weights is None else weights
+    chunks = list(combination_chunks(p, weights, ordinals, cap))
+    idx = np.concatenate([c[0] for c in chunks])
+    means = np.concatenate([c[1] for c in chunks])
+    return [tuple(row) for row in idx.tolist()], [tuple(m) for m in means.tolist()]
+
+
+def plain_means(p):
+    """Weighted mean of every combination in ordinal order, summed left to
+    right in plain Python: the reference for the kernel."""
+    out = []
+    for picks in itertools.product(*(m.points for m in p.measures)):
+        mean = [0.0] * p.dimension
+        for w, pt in zip(p.weights, picks):
+            for l in range(p.dimension):
+                mean[l] += w * pt[l]
+        out.append(tuple(mean))
+    return out
+
+
+def nearest_candidate(atlas, point):
+    return min(
+        range(atlas.point_count),
+        key=lambda j: math.dist(atlas.support_points[j], point),
+    )
+
+
 class TestEnumeration:
     def test_two_by_two_lexicographic(self):
         p = problem([measure([[0.0], [1.0]]), measure([[2.0], [3.0]])])
-        combos = list(enumerate_combinations(p))
-        assert [c.indices for c in combos] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert [c.ordinal for c in combos] == [0, 1, 2, 3]
+        indices, _ = kernel(p)
+        assert indices == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        # explicit ordinals decode to the same rows in any order
+        assert kernel(p, np.array([3, 0, 2]))[0] == [(1, 1), (0, 0), (1, 0)]
 
     def test_single_point_measures(self):
         p = problem([measure([[0.0]], [1.0])] * 3)
-        combos = list(enumerate_combinations(p))
-        assert len(combos) == 1
-        assert combos[0].indices == (0, 0, 0)
+        indices, _ = kernel(p)
+        assert indices == [(0, 0, 0)]
 
     def test_three_measures_of_four_points(self):
-        # oracle: count the full product directly
+        # oracle: the full product in lexicographic order
         pts = [[float(v)] for v in range(4)]
         p = problem([measure(pts)] * 3)
-        direct = sum(1 for _ in itertools.product(range(4), repeat=3))
-        assert direct == 64
-        assert sum(1 for _ in enumerate_combinations(p)) == direct
+        direct = list(itertools.product(range(4), repeat=3))
+        assert len(direct) == 64
+        assert kernel(p)[0] == direct
 
     def test_blowup_guard_fires_before_iteration(self):
         pts = [[float(v)] for v in range(10)]
         p = problem([measure(pts)] * 3)
         with pytest.raises(CombinationBlowupError, match="combination blowup"):
-            enumerate_combinations(p, cap=999)
+            combination_chunks(p, p.weights, cap=999)
+
+    def test_chunks_cover_stream_in_order(self):
+        p = generators.grid(3, 7, 2, seed=3)
+        total = p.combination_total()
+        assert total > COMBINATION_CHUNK
+        sizes = [len(idx) for idx, _ in combination_chunks(p, p.weights)]
+        assert len(sizes) == math.ceil(total / COMBINATION_CHUNK)
+        assert sum(sizes) == total
+        ordinals = np.array([0, COMBINATION_CHUNK, total - 1])
+        direct = list(itertools.product(*(range(s) for s in p.sizes)))
+        assert kernel(p, ordinals)[0] == [direct[h] for h in ordinals]
 
 
 class TestWeightedMean:
     def test_midpoint(self):
         p = problem([measure([[0.0]], [1.0]), measure([[1.0]], [1.0])])
-        combo = next(enumerate_combinations(p))
-        assert weighted_mean(combo, p) == (0.5,)
+        assert kernel(p)[1] == [(0.5,)]
 
     def test_idempotent_on_shared_point(self):
         q = [0.75, -2.0]
         p = problem([measure([q], [1.0])] * 4)
-        combo = next(enumerate_combinations(p))
-        assert weighted_mean(combo, p) == pytest.approx(tuple(q))
+        assert kernel(p)[1][0] == pytest.approx(tuple(q))
 
     def test_hand_arithmetic(self):
         p = problem(
             [measure([[0.0, 0.0]], [1.0]), measure([[4.0, 8.0]], [1.0])],
             weights=[0.25, 0.75],
         )
-        combo = next(enumerate_combinations(p))
-        assert weighted_mean(combo, p) == (3.0, 6.0)
+        assert kernel(p)[1] == [(3.0, 6.0)]
+        # integer-scaled weights give the scaled mean
+        assert kernel(p, weights=(1.0, 3.0))[1] == [(12.0, 24.0)]
 
     def test_affine_scaling(self):
         base = generators.general_position(3, 3, 2, seed=5)
@@ -81,12 +120,16 @@ class TestWeightedMean:
             ],
             weights=base.weights,
         )
-        for c_base, c_scaled in zip(
-            enumerate_combinations(base), enumerate_combinations(scaled)
-        ):
-            mb = weighted_mean(c_base, base)
-            ms = weighted_mean(c_scaled, scaled)
+        for mb, ms in zip(kernel(base)[1], kernel(scaled)[1]):
             assert ms == pytest.approx(tuple(4.0 * v for v in mb), abs=1e-12)
+
+    def test_equals_plain_left_to_right_sum(self):
+        # same operations in the same order: equal to the last bit
+        for p in [
+            generators.general_position(3, 4, 3, seed=2, random_weights=True),
+            generators.mixed(3, 2, 1, seed=4),
+        ]:
+            assert kernel(p)[1] == plain_means(p)
 
 
 class TestExactAtlas:
@@ -149,12 +192,21 @@ class TestExactAtlas:
             assert atlas.candidate_index(pt) == j
 
     def test_combo_candidate_matches_mean(self):
-        p = generators.grid(3, 2, 1, seed=8)
-        atlas = build_atlas_exact(p)
-        for combo in enumerate_combinations(p):
-            j = atlas.combo_candidate(combo, p)
-            mean = weighted_mean(combo, p)
-            assert atlas.support_points[j] == pytest.approx(mean, abs=1e-9)
+        # every fixed-transport column of the hybrid model is a combination
+        # whose plain-Python mean lands on a candidate left to fixed transport
+        p = generators.grid(3, 3, 2, seed=8)
+        for atlas in (build_atlas_exact(p), build_atlas_grid(p)):
+            split = hybrid_split(atlas)
+            assert split.y_points
+            model = build_hybrid(atlas, split, p)
+            means = plain_means(p)
+            for meta in model.var_meta:
+                if meta[0] != "w":
+                    continue
+                mean = means[meta[1]]
+                j = nearest_candidate(atlas, mean)
+                assert atlas.support_points[j] == pytest.approx(mean, abs=1e-9)
+                assert not split.uses_y(j), atlas.regime
 
 
 class TestGridAtlas:
@@ -318,8 +370,6 @@ class TestHybridSplit:
         atlas = build_atlas_exact(p)
         split = hybrid_split(atlas)
         assert split.y_points == frozenset()
-        assert split.w_combos is not None
-        assert len(split.w_combos) == atlas.combination_total
 
     def test_grid_center_prefers_mass_variables(self):
         p = generators.grid(4, 4, 2, seed=0)
@@ -339,39 +389,12 @@ class TestHybridSplit:
 
     def test_partition_covers_each_combination_once(self):
         p = generators.grid(3, 3, 1, seed=7)
-        atlas = build_atlas_exact(p)
-        split = hybrid_split(atlas)
-        w_set = set(int(h) for h in split.w_combos)
-        for combo in enumerate_combinations(p):
-            j = atlas.combo_candidate(combo, p)
-            on_w = combo.ordinal in w_set
-            assert on_w != split.uses_y(j) or not split.uses_y(j) and on_w
-            assert on_w == (not split.uses_y(j))
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        p = generators.grid(3, 2, 2, seed=5)
-        atlas = build_atlas_exact(p)
-        restored = atlas_from_json(atlas_to_json(atlas, p), p)
-        assert restored.support_points == atlas.support_points
-        assert restored.multiplicity == atlas.multiplicity
-        assert restored.regime == atlas.regime
-        for i, size in enumerate(atlas.sizes):
-            for k in range(size):
-                assert restored.reachable(i, k) == atlas.reachable(i, k)
-        for j in range(atlas.point_count):
-            assert restored.sources(j) == atlas.sources(j)
-
-    def test_digest_guards_mismatched_problem(self):
-        p = generators.grid(3, 2, 2, seed=5)
-        other = generators.grid(3, 2, 2, seed=6)
-        dump = atlas_to_json(build_atlas_exact(p), p)
-        with pytest.raises(InvariantError, match="cache"):
-            atlas_from_json(dump, other)
-
-    def test_digest_deterministic_and_sensitive(self):
-        p = generators.grid(3, 2, 2, seed=5)
-        q = generators.grid(3, 2, 2, seed=6)
-        assert problem_digest(p) == problem_digest(p)
-        assert problem_digest(p) != problem_digest(q)
+        means = plain_means(p)
+        for atlas in (build_atlas_exact(p), build_atlas_grid(p)):
+            split = hybrid_split(atlas)
+            model = build_hybrid(atlas, split, p)
+            w = [meta[1] for meta in model.var_meta if meta[0] == "w"]
+            assert len(w) == len(set(w))
+            for h, mean in enumerate(means):
+                j = nearest_candidate(atlas, mean)
+                assert (h in w) == (not split.uses_y(j)), (atlas.regime, h)
