@@ -51,6 +51,9 @@ EXIT_BLOWUP = 3
 EXIT_SOLVER = 4
 
 FORMULATIONS = ("original", "reduced", "general", "hybrid")
+# the formulations that read the candidate atlas; general and
+# transportation never do
+ATLAS_FORMULATIONS = ("original", "reduced", "hybrid")
 MAX_DETECTED_SIDE = 1024
 
 # The CLI prices with the largest-reduced-cost rule (it falls back to
@@ -129,7 +132,8 @@ def detect_grid(problem: Problem, tol: float = 1e-9) -> GridSpec | None:
     return GridSpec(dim=d, side=side, origin=tuple(origins), step=step)
 
 
-def _resolve_atlas(problem: Problem, config: RunConfig) -> SupportAtlas:
+def _lattice(problem: Problem, config: RunConfig) -> GridSpec | None:
+    """The lattice the grid regime builds on, or None for the exact regime."""
     regime = config.regime
     if regime == "auto":
         spec = detect_grid(problem)
@@ -138,7 +142,7 @@ def _resolve_atlas(problem: Problem, config: RunConfig) -> SupportAtlas:
             # smaller than the combination stream
             refined = (problem.n * (spec.side - 1) + 1) ** spec.dim
             if refined <= min(config.cap, problem.combination_total()):
-                return build_atlas_grid(problem, spec)
+                return spec
             print(
                 "note: detected lattice is finer than the combination stream, "
                 "using exact regime",
@@ -146,21 +150,40 @@ def _resolve_atlas(problem: Problem, config: RunConfig) -> SupportAtlas:
             )
         elif spec is None:
             print("note: no common lattice detected, using exact regime", file=sys.stderr)
-        return build_atlas_exact(problem, config.dedup_tol, config.cap)
+        return None
     if regime == "grid":
         spec = problem.grid or detect_grid(problem)
         if spec is None:
             raise CliError(EXIT_INPUT, "grid regime requires grid metadata or a detectable lattice")
-        return build_atlas_grid(problem, spec)
+        return spec
     if regime == "exact":
-        return build_atlas_exact(problem, config.dedup_tol, config.cap)
+        return None
     raise CliError(EXIT_INPUT, f"unknown regime {regime!r}")
+
+
+def _resolve_atlas(
+    problem: Problem, config: RunConfig, names
+) -> tuple[str, SupportAtlas | None]:
+    """The atlas regime, and the atlas itself when one of the formulations
+    ``names`` reads it (None otherwise)."""
+    spec = _lattice(problem, config)
+    if not any(name in ATLAS_FORMULATIONS for name in names):
+        atlas = None
+    elif spec is None:
+        atlas = build_atlas_exact(problem, config.dedup_tol, config.cap)
+    else:
+        atlas = build_atlas_grid(problem, spec)
+    return ("exact" if spec is None else "grid"), atlas
+
+
+def _candidate_count(atlas: SupportAtlas | None) -> str:
+    return "not built" if atlas is None else str(atlas.point_count)
 
 
 def _build_model(
     formulation: str,
     problem: Problem,
-    atlas: SupportAtlas,
+    atlas: SupportAtlas | None,
     config: RunConfig,
 ) -> LpModel:
     if formulation == "original":
@@ -192,7 +215,7 @@ def _select_formulations(flag: str, problem: Problem) -> tuple[str, ...]:
     return (flag,)
 
 
-def _run(name: str, problem: Problem, atlas: SupportAtlas, config: RunConfig):
+def _run(name: str, problem: Problem, atlas: SupportAtlas | None, config: RunConfig):
     """Build and solve one formulation, timing both on stderr; extract the
     barycenter when the solve is optimal (otherwise it is None)."""
     t0 = time.perf_counter()
@@ -203,10 +226,9 @@ def _run(name: str, problem: Problem, atlas: SupportAtlas, config: RunConfig):
     print(f"[time] {name} build {t1 - t0:.3f}s solve {t2 - t1:.3f}s", file=sys.stderr)
     if solution.status != "optimal":
         return model, solution, None
-    # general and transportation columns carry no atlas indices
     bary = extract_barycenter(
         solution, model, problem,
-        atlas=atlas if name not in ("general", "transportation") else None,
+        atlas=atlas if name in ATLAS_FORMULATIONS else None,
     )
     return model, solution, bary
 
@@ -215,11 +237,11 @@ def cmd_solve(args) -> int:
     config = _config_from(args)
     problem = _load(config, args.input)
     formulations = _select_formulations(args.formulation, problem)
-    atlas = _resolve_atlas(problem, config)
+    regime, atlas = _resolve_atlas(problem, config, formulations)
 
     print(f"measures: n={problem.n} sizes={list(problem.sizes)} d={problem.dimension}")
-    print(f"combinations |S*|: {atlas.combination_total}")
-    print(f"candidates |S|: {atlas.point_count} (regime {atlas.regime})")
+    print(f"combinations |S*|: {problem.combination_total()}")
+    print(f"candidates |S|: {_candidate_count(atlas)} (regime {regime})")
     bound = sum(problem.sizes) - problem.n + 1
     failures = 0
     for name in formulations:
@@ -254,11 +276,11 @@ def cmd_compare(args) -> int:
     config = _config_from(args)
     problem = _load(config, args.input)
     formulations = _select_formulations(args.formulation, problem)
-    atlas = _resolve_atlas(problem, config)
+    regime, atlas = _resolve_atlas(problem, config, formulations)
     bound = sum(problem.sizes) - problem.n + 1
 
     print(f"measures: n={problem.n} sizes={list(problem.sizes)} d={problem.dimension}")
-    print(f"|S*|={atlas.combination_total} |S|={atlas.point_count} regime={atlas.regime}")
+    print(f"|S*|={problem.combination_total()} |S|={_candidate_count(atlas)} regime={regime}")
     header = f"{'formulation':<15}{'rows':>8}{'columns':>10}{'nonzeros':>10}{'objective':>16}"
     print(header)
     objectives = {}
@@ -340,8 +362,7 @@ def cmd_export(args) -> int:
         names = FORMULATIONS
     else:
         names = _select_formulations(args.formulation, problem)
-    needs_atlas = any(n in ("original", "reduced", "hybrid") for n in names)
-    atlas = _resolve_atlas(problem, config) if needs_atlas else None
+    _, atlas = _resolve_atlas(problem, config, names)
     prefix = config.out or "model"
     for name in names:
         model = _build_model(name, problem, atlas, config)

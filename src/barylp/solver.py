@@ -1,12 +1,19 @@
 """LP solving, MPS export, and barycenter extraction/verification.
 
-The solver is a dense-basis revised simplex: phase 1 starts from an
-all-artificial basis, phase 2 re-prices the original objective.  Bland's
-rule is the default pivot rule (termination guarantee on the heavily
-degenerate transportation-like polytopes these models produce); the
-largest-reduced-cost rule is available for speed and falls back to Bland
-when a long degenerate streak suggests cycling.  The basis inverse is
-maintained by product-form updates with periodic refactorization.
+The solver is a two-phase revised simplex over an explicit dense basis
+inverse: each pivot updates the inverse in place by a rank-1 ``dger``
+update, and every ``REFACTOR_EVERY`` pivots it is rebuilt from scratch by
+an LU-based inversion.  Phase 1 starts from a triangular crash basis:
+every row with right-hand side 0 (the balance rows of the original,
+reduced and hybrid models) takes its cheapest column that has no other
+nonzero in such a row, and every other row starts on its artificial.  The
+start is primal feasible at the same phase-1 infeasibility as an
+all-artificial basis, but skips the degenerate pivots that would only
+swap zero-valued artificials out of those rows.  Phase 2 re-prices the
+original objective.  Bland's rule is the default pivot rule (termination
+guarantee on the heavily degenerate transportation-like polytopes these
+models produce); the largest-reduced-cost rule is available for speed and
+falls back to Bland when a long degenerate streak suggests cycling.
 
 Large instances are meant to be exported in MPS format and solved
 externally; the built-in method targets desk scale.
@@ -21,6 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg.blas import dger
 
@@ -71,8 +79,7 @@ class _Simplex:
             signs = np.where(flip, -1.0, 1.0)
             A = sp.diags(signs).dot(A).tocsc()
             b = b * signs
-        self.A = A
-        self.A_csr = A.tocsr()  # pricing computes y @ A row-wise
+        self.A = A  # A.T is a CSR view: pricing computes A.T @ y row-wise
         self.b = b
         self.cost = np.array(model.objective, dtype=np.float64)
         self.m, self.nv = A.shape
@@ -88,6 +95,39 @@ class _Simplex:
         self._cycle_guard = 1000 + 2 * (self.m + self.nv)
         self._duals = None  # maintained incrementally, exact after refactor
         self.feas_threshold = FEAS_TOL * (1.0 + float(np.abs(b).sum()))
+        self.crash()
+
+    def crash(self) -> None:
+        """Start each b = 0 row on a structural column instead of its artificial.
+
+        A column is eligible for a b = 0 row when its entry there exceeds
+        ``PIVOT_TOL`` and it has no other nonzero in any b = 0 row; each row
+        takes its cheapest eligible column, the lowest index on ties.  Its
+        other entries lie in rows that keep their artificials, so the basis
+        is triangular up to a permutation and nonsingular, and the crash
+        columns sit at 0: the start is primal feasible, with the phase-1
+        infeasibility of the all-artificial start.  Rows with b != 0 and
+        b = 0 rows without an eligible column keep their artificials.
+        """
+        zero_row = self.b == 0.0
+        if not zero_row.any():
+            return
+        A = self.A
+        col = np.repeat(np.arange(self.nv), np.diff(A.indptr))
+        in_zero = zero_row[A.indices] & (A.data != 0.0)
+        count = np.bincount(col[in_zero], minlength=self.nv)
+        pick = in_zero & (count[col] == 1) & (np.abs(A.data) > PIVOT_TOL)
+        if not pick.any():
+            return
+        rows, cols = A.indices[pick], col[pick]
+        order = np.lexsort((cols, self.cost[cols], rows))
+        rows, cols = rows[order], cols[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        # the artificial of row r sits at basis position r
+        self.basis[rows[first]] = cols[first]
+        self.in_basis[cols[first]] = True
+        self.refactor()
 
     def refactor(self) -> None:
         dense = np.zeros((self.m, self.m), order="F")
@@ -97,7 +137,13 @@ class _Simplex:
             else:
                 start, end = self.A.indptr[var], self.A.indptr[var + 1]
                 dense[self.A.indices[start:end], pos] = self.A.data[start:end]
-        self.binv = np.asfortranarray(np.linalg.inv(dense))
+        # LU inversion in place, so the result stays Fortran-ordered for dger.
+        # assume_a="general" skips the structure scan; with overwrite_a that
+        # scan's symmetric path crashes the process in scipy 1.17 (seen on
+        # the 2x2 basis [[1, 1], [1, 0]]).
+        self.binv = scipy.linalg.inv(
+            dense, overwrite_a=True, check_finite=False, assume_a="general"
+        )
         self.x_basic = self.binv @ self.b
         self._since_refactor = 0
         self._duals = None
@@ -161,7 +207,7 @@ class _Simplex:
                 return "iteration-limit"
             if self._duals is None:
                 self._duals = self.exact_duals(phase)
-            reduced = reduced_base - (self._duals @ self.A_csr)
+            reduced = reduced_base - self.A.T @ self._duals
             eligible = np.nonzero((reduced < -OPT_TOL) & ~self.in_basis)[0]
             if eligible.size == 0:
                 if verified:
@@ -196,7 +242,7 @@ class _Simplex:
         """
         drop_rows: list[int] = []
         for pos in np.nonzero(self.basis >= self.nv)[0]:
-            row_vec = self.binv[int(pos)] @ self.A_csr
+            row_vec = self.A.T @ self.binv[int(pos)]
             row_vec = np.where(self.in_basis, 0.0, row_vec)
             candidates = np.nonzero(np.abs(row_vec) > 1e-7)[0]
             if candidates.size:
@@ -208,8 +254,7 @@ class _Simplex:
             return
         keep = np.ones(self.m, dtype=bool)
         keep[drop_rows] = False
-        self.A = self.A_csr[keep].tocsc()
-        self.A_csr = self.A.tocsr()
+        self.A = self.A[keep].tocsc()
         self.b = self.b[keep]
         self.m = int(keep.sum())
         kept_vars = [int(v) for v in self.basis if v < self.nv]
@@ -241,10 +286,11 @@ def solve(
         raise ValueError(f"unknown pivot rule {pivot_rule!r}")
     state = _Simplex(model, max_iters, pivot_rule)
 
+    # run_phase reports "optimal" only straight after its own refactor,
+    # so x_basic is freshly computed at both phase ends
     status = state.run_phase(1)
     if status != "optimal":
         return state.solution(status)
-    state.refactor()
     art = state.basis >= state.nv
     infeasibility = float(state.x_basic[art].sum()) if art.any() else 0.0
     if infeasibility > state.feas_threshold:
@@ -254,7 +300,6 @@ def solve(
     status = state.run_phase(2)
     if status != "optimal":
         return state.solution(status)
-    state.refactor()  # final clean basic solution
     result = state.solution("optimal")
     residual = np.abs(model.constraints @ result.values - model.rhs).max()
     if residual > 1e-7:

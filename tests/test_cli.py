@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from barylp import cli
 from barylp.cli import main
 
 
@@ -156,6 +157,27 @@ class TestSolve:
             },
         )
         assert main(["solve", "--formulation", "transportation", path]) == 2
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "export"])
+    @pytest.mark.parametrize("formulation", ["general", "transportation"])
+    def test_atlas_free_formulations_build_no_atlas(
+        self, small_path, tmp_path, capsys, monkeypatch, command, formulation
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the atlas was built")
+
+        monkeypatch.setattr(cli, "build_atlas_exact", refuse)
+        monkeypatch.setattr(cli, "build_atlas_grid", refuse)
+        out = str(tmp_path / "model")
+        assert main([command, "--formulation", formulation, "--out", out, small_path]) == 0
+        text = capsys.readouterr().out
+        if command != "export":
+            assert "|S*|" in text and "not built" in text
+            assert "regime exact" in text or "regime=exact" in text
+
+    def test_general_blowup_exit_code(self, small_path, capsys):
+        assert main(["solve", "--formulation", "general", "--cap", "2", small_path]) == 3
+        assert "combination blowup" in capsys.readouterr().err
 
 
 class TestGen:

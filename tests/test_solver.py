@@ -17,6 +17,8 @@ from barylp.models import (
     build_transportation,
 )
 from barylp.solver import (
+    FEAS_TOL,
+    PIVOT_TOL,
     BarycenterSolution,
     ExtractionError,
     VerificationReport,
@@ -27,6 +29,7 @@ from barylp.solver import (
     total_cost,
     var_name,
     verify_solution,
+    _Simplex,
 )
 from barylp.support import build_atlas_exact, build_atlas_grid, hybrid_split
 
@@ -167,6 +170,84 @@ class TestSolve:
         solution = solve(build_transportation(p))
         assert solution.status == "optimal"
         assert solution.objective_value == pytest.approx(0.0, abs=1e-12)
+
+
+def crash_model(instance, formulation):
+    if instance == "grid":
+        p = generators.grid(3, 3, 2, seed=44)
+        atlas = build_atlas_grid(p)
+    else:
+        p = generators.mixed(3, 3, 1, seed=7)
+        atlas = build_atlas_exact(p)
+    if formulation == "hybrid":
+        return build_hybrid(atlas, hybrid_split(atlas), p)
+    return {"original": build_original, "reduced": build_reduced}[formulation](atlas, p)
+
+
+def reference_crash(model):
+    """The crash choice by a plain loop over columns: {b = 0 row: column}."""
+    A = model.constraints.tocsc()
+    best = {}
+    for c in range(model.num_vars):
+        start, end = A.indptr[c], A.indptr[c + 1]
+        entries = [
+            (int(r), float(v))
+            for r, v in zip(A.indices[start:end], A.data[start:end])
+            if model.rhs[r] == 0.0 and v != 0.0
+        ]
+        if len(entries) == 1 and abs(entries[0][1]) > PIVOT_TOL:
+            row = entries[0][0]
+            key = (float(model.objective[c]), c)
+            if row not in best or key < best[row]:
+                best[row] = key
+    return {row: c for row, (_, c) in best.items()}
+
+
+class TestCrashBasis:
+    @pytest.mark.parametrize("instance", ["grid", "mixed"])
+    @pytest.mark.parametrize("formulation", ["original", "reduced", "hybrid"])
+    def test_crash_start_is_nonsingular_feasible_and_covering(
+        self, instance, formulation
+    ):
+        model = crash_model(instance, formulation)
+        state = _Simplex(model, 100, "bland")
+        m, nv = state.m, state.nv
+
+        expected = reference_crash(model)
+        assert expected, "the model has balance rows with eligible columns"
+        crashed = {pos: int(var) for pos, var in enumerate(state.basis) if var < nv}
+        assert crashed == expected
+        assert state.in_basis.sum() == len(expected)
+
+        full = sp.hstack([model.constraints, sp.identity(m)], format="csc")
+        basis_matrix = full[:, state.basis].toarray()
+        assert np.linalg.matrix_rank(basis_matrix) == m
+        assert np.allclose(state.binv @ basis_matrix, np.eye(m), atol=1e-10)
+
+        assert state.x_basic.min() >= -FEAS_TOL
+        assert np.abs(state.x_basic[list(expected)]).max() <= FEAS_TOL
+        artificial = state.basis >= nv
+        # same phase-1 infeasibility as the all-artificial start
+        assert state.x_basic[artificial].sum() == pytest.approx(model.rhs.sum())
+
+    def test_refactor_inverts_a_symmetric_basis(self):
+        # the in-place inversion must not take a symmetric-matrix path
+        model = raw_model([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [2.0, 1.0])
+        state = _Simplex(model, 100, "bland")
+        state.basis[:] = [0, 1]
+        state.refactor()
+        assert np.allclose(state.binv, [[0.0, 1.0], [1.0, -1.0]])
+        assert np.allclose(state.x_basic, [1.0, 1.0])
+
+    def test_models_without_zero_rows_start_all_artificial(self):
+        p = generators.general_position(2, 3, 2, seed=5)
+        for model in (build_general(p), build_transportation(p)):
+            state = _Simplex(model, 100, "bland")
+            assert np.array_equal(
+                state.basis, np.arange(state.nv, state.nv + state.m)
+            )
+            assert not state.in_basis.any()
+            assert np.array_equal(state.x_basic, model.rhs)
 
 
 class TestCrossFormulation:
