@@ -33,7 +33,6 @@ from .models import (
     build_hybrid,
     build_original,
     build_reduced,
-    build_transportation,
     predict_sizes,
     variable_reduction,
 )
@@ -46,7 +45,6 @@ from .solver import (
     extract_barycenter,
     solution_json,
     solve,
-    total_cost,
     verify_solution,
 )
 

@@ -30,7 +30,6 @@ from .models import (
     build_hybrid,
     build_original,
     build_reduced,
-    build_transportation,
     predict_sizes,
     variable_reduction,
 )
@@ -55,11 +54,6 @@ FORMULATIONS = ("original", "reduced", "general", "hybrid")
 # transportation never do
 ATLAS_FORMULATIONS = ("original", "reduced", "hybrid")
 MAX_DETECTED_SIDE = 1024
-
-# The CLI prices with the largest-reduced-cost rule (it falls back to
-# Bland's rule on its own when cycling is suspected); the library default
-# stays Bland's rule.
-PIVOT_RULE = "dantzig"
 
 
 @dataclass
@@ -190,12 +184,11 @@ def _build_model(
         return build_original(atlas, problem)
     if formulation == "reduced":
         return build_reduced(atlas, problem)
-    if formulation == "general":
+    if formulation in ("general", "transportation"):
+        # transportation is general with n = 2 (_select_formulations checks n)
         return build_general(problem, config.cap)
     if formulation == "hybrid":
         return build_hybrid(atlas, hybrid_split(atlas), problem, config.cap)
-    if formulation == "transportation":
-        return build_transportation(problem)
     raise CliError(EXIT_INPUT, f"unknown formulation {formulation!r}")
 
 
@@ -221,7 +214,7 @@ def _run(name: str, problem: Problem, atlas: SupportAtlas | None, config: RunCon
     t0 = time.perf_counter()
     model = _build_model(name, problem, atlas, config)
     t1 = time.perf_counter()
-    solution = solve(model, max_iters=config.max_iters, pivot_rule=PIVOT_RULE)
+    solution = solve(model, max_iters=config.max_iters)
     t2 = time.perf_counter()
     print(f"[time] {name} build {t1 - t0:.3f}s solve {t2 - t1:.3f}s", file=sys.stderr)
     if solution.status != "optimal":
@@ -325,14 +318,9 @@ def cmd_sizes(args) -> int:
         if regime != "general-position":
             raise CliError(EXIT_INPUT, "percentage reductions are defined for the general-position regime")
         try:
-            exact = variable_reduction(src, dst, n=args.n, p=args.p)
+            print(_reduction_line(src, dst, args.n, args.p))
         except ValueError as exc:
             raise CliError(EXIT_INPUT, str(exc))
-        line = f"reduction {src}->{dst}: {100.0 * exact:.4f}%"
-        if src == "original" and dst == "reduced":
-            limit = variable_reduction(src, dst, p=args.p)
-            line += f" (large-n limit {100.0 * limit:.4f}%)"
-        print(line)
         return EXIT_OK
 
     print(f"regime: {regime} n={args.n} "
@@ -346,13 +334,17 @@ def cmd_sizes(args) -> int:
         print(f"{name:<15}{pred.variables:>14}{pred.constraints:>14}")
     if regime == "general-position" and args.formulation == "all":
         for src, dst in (("original", "reduced"), ("reduced", "general"), ("original", "general")):
-            exact = variable_reduction(src, dst, n=args.n, p=args.p)
-            line = f"reduction {src}->{dst}: {100.0 * exact:.4f}%"
-            if (src, dst) == ("original", "reduced"):
-                limit = variable_reduction(src, dst, p=args.p)
-                line += f" (large-n limit {100.0 * limit:.4f}%)"
-            print(line)
+            print(_reduction_line(src, dst, args.n, args.p))
     return EXIT_OK
+
+
+def _reduction_line(src: str, dst: str, n: int, p: int | None) -> str:
+    exact = variable_reduction(src, dst, n=n, p=p)
+    line = f"reduction {src}->{dst}: {100.0 * exact:.4f}%"
+    if (src, dst) == ("original", "reduced"):
+        limit = variable_reduction(src, dst, p=p)
+        line += f" (large-n limit {100.0 * limit:.4f}%)"
+    return line
 
 
 def cmd_export(args) -> int:

@@ -1,6 +1,6 @@
 """Sparse LP model construction for the barycenter formulations.
 
-Five interchangeable models of the same optimization problem:
+Four interchangeable models of the same optimization problem:
 
 - ``original``: mass variables on every candidate point plus transport
   variables to every original support point.
@@ -9,8 +9,7 @@ Five interchangeable models of the same optimization problem:
   nontrivial input.
 - ``general``: one fixed-transport variable per combination of original
   support points; no candidate deduplication, minimal constraint count.
-- ``transportation``: the two-measure special case of ``general`` with
-  factored costs, a classical transportation problem.
+  With two measures it is the classical transportation problem.
 - ``hybrid``: per-candidate mix of the reduced and general strategies.
 
 All models are pure equality-constrained LPs over nonnegative variables.
@@ -248,26 +247,6 @@ def build_general(
     deduplication (worst-case size, minimal constraints)."""
     asm = _Assembler("general")
     asm.add_fixed_transport(problem, _marginal_rows(asm, problem), None, cap)
-    return asm.freeze()
-
-
-def build_transportation(problem: Problem) -> LpModel:
-    """Two-measure specialization with factored pairwise costs."""
-    if problem.n != 2:
-        raise FormulationError(
-            f"transportation model requires n=2, got n={problem.n}"
-        )
-    lam = problem.weights[0]
-    first, second = problem.measures
-    asm = _Assembler("transportation")
-    marginal = _marginal_rows(asm, problem)
-    p2 = len(second)
-    for k, xk in enumerate(first.points):
-        for l, xl in enumerate(second.points):
-            cost = lam * (1.0 - lam) * _sq_dist(xk, xl)
-            c = asm.add_var(("w", k * p2 + l), cost)
-            asm.add_entry(marginal[0][k], c, 1.0)
-            asm.add_entry(marginal[1][l], c, 1.0)
     return asm.freeze()
 
 

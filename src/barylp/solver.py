@@ -10,10 +10,10 @@ nonzero in such a row, and every other row starts on its artificial.  The
 start is primal feasible at the same phase-1 infeasibility as an
 all-artificial basis, but skips the degenerate pivots that would only
 swap zero-valued artificials out of those rows.  Phase 2 re-prices the
-original objective.  Bland's rule is the default pivot rule (termination
-guarantee on the heavily degenerate transportation-like polytopes these
-models produce); the largest-reduced-cost rule is available for speed and
-falls back to Bland when a long degenerate streak suggests cycling.
+original objective.  Pivots follow the largest-reduced-cost rule; when a
+long degenerate streak suggests cycling on the heavily degenerate
+transportation-like polytopes these models produce, the solve switches to
+Bland's smallest-index rule, which guarantees termination.
 
 Large instances are meant to be exported in MPS format and solved
 externally; the built-in method targets desk scale.
@@ -60,7 +60,6 @@ class LpSolution:
     objective_value: float
     values: np.ndarray
     basis: tuple[int, ...]
-    is_vertex: bool
     iterations: int
 
     @property
@@ -71,7 +70,7 @@ class LpSolution:
 class _Simplex:
     """Two-phase revised simplex with a dense basis inverse."""
 
-    def __init__(self, model: LpModel, max_iters: int, pivot_rule: str):
+    def __init__(self, model: LpModel, max_iters: int):
         A = model.constraints.tocsc()
         b = np.array(model.rhs, dtype=np.float64)
         flip = b < 0.0
@@ -79,12 +78,15 @@ class _Simplex:
             signs = np.where(flip, -1.0, 1.0)
             A = sp.diags(signs).dot(A).tocsc()
             b = b * signs
-        self.A = A  # A.T is a CSR view: pricing computes A.T @ y row-wise
+        self.A = A
+        # a CSR view over A's arrays, held because A.T builds a new wrapper
+        # per call; pricing computes A_T @ y row-wise
+        self.A_T = A.T
         self.b = b
         self.cost = np.array(model.objective, dtype=np.float64)
         self.m, self.nv = A.shape
         self.max_iters = max_iters
-        self.rule = pivot_rule
+        self.bland = False  # set once cycling is suspected
         self.basis = np.arange(self.nv, self.nv + self.m, dtype=np.int64)
         self.in_basis = np.zeros(self.nv, dtype=bool)
         self.binv = np.eye(self.m, order="F")
@@ -186,8 +188,8 @@ class _Simplex:
             self.refactor()
         if step <= 1e-12:
             self._degenerate_streak += 1
-            if self.rule == "dantzig" and self._degenerate_streak > self._cycle_guard:
-                self.rule = "bland"  # cycling suspected; Bland terminates
+            if self._degenerate_streak > self._cycle_guard:
+                self.bland = True  # cycling suspected; Bland terminates
                 self._degenerate_streak = 0
         else:
             self._degenerate_streak = 0
@@ -207,7 +209,7 @@ class _Simplex:
                 return "iteration-limit"
             if self._duals is None:
                 self._duals = self.exact_duals(phase)
-            reduced = reduced_base - self.A.T @ self._duals
+            reduced = reduced_base - self.A_T @ self._duals
             eligible = np.nonzero((reduced < -OPT_TOL) & ~self.in_basis)[0]
             if eligible.size == 0:
                 if verified:
@@ -216,7 +218,7 @@ class _Simplex:
                 verified = True
                 continue
             verified = False
-            if self.rule == "bland":
+            if self.bland:
                 entering = int(eligible[0])
             else:
                 entering = int(eligible[np.argmin(reduced[eligible])])
@@ -242,7 +244,7 @@ class _Simplex:
         """
         drop_rows: list[int] = []
         for pos in np.nonzero(self.basis >= self.nv)[0]:
-            row_vec = self.A.T @ self.binv[int(pos)]
+            row_vec = self.A_T @ self.binv[int(pos)]
             row_vec = np.where(self.in_basis, 0.0, row_vec)
             candidates = np.nonzero(np.abs(row_vec) > 1e-7)[0]
             if candidates.size:
@@ -255,6 +257,7 @@ class _Simplex:
         keep = np.ones(self.m, dtype=bool)
         keep[drop_rows] = False
         self.A = self.A[keep].tocsc()
+        self.A_T = self.A.T
         self.b = self.b[keep]
         self.m = int(keep.sum())
         kept_vars = [int(v) for v in self.basis if v < self.nv]
@@ -270,21 +273,17 @@ class _Simplex:
             objective = -math.inf
         return LpSolution(
             status, objective, values, tuple(int(v) for v in self.basis),
-            True, self.iterations,
+            self.iterations,
         )
 
 
-def solve(
-    model: LpModel, *, max_iters: int = 100_000, pivot_rule: str = "bland"
-) -> LpSolution:
+def solve(model: LpModel, *, max_iters: int = 100_000) -> LpSolution:
     """Minimize the model with a two-phase dense-basis revised simplex.
 
     Deterministic for fixed options.  Returns a basic (vertex) solution
     when optimal; failures are reported in ``status``, never silently.
     """
-    if pivot_rule not in ("bland", "dantzig"):
-        raise ValueError(f"unknown pivot rule {pivot_rule!r}")
-    state = _Simplex(model, max_iters, pivot_rule)
+    state = _Simplex(model, max_iters)
 
     # run_phase reports "optimal" only straight after its own refactor,
     # so x_basic is freshly computed at both phase ends
@@ -305,7 +304,7 @@ def solve(
     if residual > 1e-7:
         return LpSolution(
             "numeric-failure", math.nan, result.values, result.basis,
-            True, result.iterations,
+            result.iterations,
         )
     return result
 
@@ -495,11 +494,6 @@ def _plan_cost(
             (a - bb) ** 2 for a, bb in zip(source, target)
         ) * mass
     return acc
-
-
-def total_cost(bary: "BarycenterSolution", problem: Problem) -> float:
-    """Transport cost of a solution: weighted squared distances times masses."""
-    return _plan_cost(bary.support, bary.transport, problem)
 
 
 def extract_barycenter(

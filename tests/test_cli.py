@@ -267,6 +267,20 @@ class TestCompare:
                 cols[parts[0]] = int(parts[2])
         assert cols["reduced"] < cols["original"]
 
+    def test_transportation_alias_matches_general(self, tmp_path, capsys):
+        path = str(tmp_path / "two.json")
+        main(["gen", "general", "-n", "2", "-p", "4", "--seed", "3", "--out", path])
+        capsys.readouterr()
+        rows = {}
+        for name in ("transportation", "general"):
+            assert main(["compare", "--formulation", name, path]) == 0
+            out = capsys.readouterr().out
+            rows[name] = next(
+                line.split()[1:] for line in out.splitlines() if line.startswith(name)
+            )
+        # rows, columns, nonzeros and objective
+        assert rows["transportation"] == rows["general"]
+
     def test_mixed_hybrid_has_fewest_columns(self, tmp_path, capsys):
         out = tmp_path / "mixed.json"
         main(["gen", "mixed", "-n", "3", "-K", "3", "--extra", "1", "--seed", "7", "--out", str(out)])

@@ -12,7 +12,6 @@ from barylp.models import (
     build_hybrid,
     build_original,
     build_reduced,
-    build_transportation,
     predict_sizes,
     variable_reduction,
 )
@@ -209,28 +208,6 @@ class TestBuildGeneral:
             assert model.objective == pytest.approx(plain_fixed_costs(p), rel=1e-12)
 
 
-class TestBuildTransportation:
-    def test_requires_two_measures(self):
-        p = problem([measure([[0.0]], [1.0])] * 3)
-        with pytest.raises(FormulationError, match="n=2"):
-            build_transportation(p)
-
-    def test_factored_costs(self):
-        p = problem([measure([[0.0]], [1.0]), measure([[2.0]], [1.0])])
-        model = build_transportation(p)
-        assert model.objective[0] == pytest.approx(0.25 * 4.0, abs=1e-15)
-
-    def test_same_shape_as_general(self):
-        p = generators.general_position(2, 3, 2, seed=5)
-        transport = build_transportation(p)
-        general = build_general(p)
-        assert transport.num_vars == general.num_vars
-        assert transport.num_constraints == general.num_constraints
-        assert transport.var_meta == general.var_meta
-        assert transport.row_meta == general.row_meta
-        assert np.allclose(transport.objective, general.objective, atol=1e-12)
-
-
 class TestBuildHybrid:
     def test_all_fixed_split_identical_to_general(self):
         p = generators.general_position(3, 3, 2, seed=6)
@@ -288,8 +265,8 @@ class TestBuildHybrid:
         assert set(split.budgets) == {4 * 3 + 1}
         model = build_hybrid(fast, split, p)
         model.check()
-        reference = solve(build_general(p), pivot_rule="dantzig")
-        solution = solve(model, pivot_rule="dantzig")
+        reference = solve(build_general(p))
+        solution = solve(model)
         assert solution.objective_value == pytest.approx(
             reference.objective_value, abs=1e-8
         )

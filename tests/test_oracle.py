@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from barylp import generators
-from barylp.models import LpModel, build_general, build_transportation
+from barylp.models import LpModel, build_general
 from barylp.oracle import (
     OracleCapError,
     basis_enumeration_solve,
@@ -52,7 +52,7 @@ class TestBasisEnumeration:
         p = problem(
             [measure([[0.0], [2.0]], [0.3, 0.7]), measure([[0.0], [2.0]], [0.6, 0.4])]
         )
-        result = basis_enumeration_solve(build_transportation(p))
+        result = basis_enumeration_solve(build_general(p))
         assert result.value == pytest.approx(0.3, abs=1e-10)
 
     def test_infeasible_toy_system(self):
@@ -87,7 +87,7 @@ class TestBasisEnumeration:
             )
             model = build_general(p)
             oracle = basis_enumeration_solve(model)
-            simplex = solve(model, pivot_rule="dantzig")
+            simplex = solve(model)
             assert simplex.status == "optimal"
             assert oracle.value == pytest.approx(simplex.objective_value, abs=1e-9)
 

@@ -14,7 +14,6 @@ from barylp.models import (
     build_hybrid,
     build_original,
     build_reduced,
-    build_transportation,
 )
 from barylp.solver import (
     FEAS_TOL,
@@ -26,7 +25,6 @@ from barylp.solver import (
     extract_barycenter,
     solution_json,
     solve,
-    total_cost,
     var_name,
     verify_solution,
     _Simplex,
@@ -48,12 +46,22 @@ def raw_model(cost, dense, rhs, formulation="general"):
     )
 
 
+def assert_vertex(model, solution):
+    """The columns of the positive variables are linearly independent, and
+    there are at most rank(A) of them."""
+    A = model.constraints.toarray()
+    positive = A[:, solution.values > 0.0]
+    assert np.linalg.matrix_rank(positive) == positive.shape[1]
+    assert positive.shape[1] <= np.linalg.matrix_rank(A)
+
+
 class TestSolve:
     def test_forced_single_combination(self, forced_problem):
-        solution = solve(build_general(forced_problem))
+        model = build_general(forced_problem)
+        solution = solve(model)
         assert solution.status == "optimal"
         assert solution.objective_value == pytest.approx(0.25, abs=1e-12)
-        assert solution.is_vertex
+        assert_vertex(model, solution)
 
     def test_identity_transport_costs_nothing(self):
         m = measure([[0.0], [2.0]])
@@ -63,38 +71,23 @@ class TestSolve:
         assert solution.objective_value == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_solved_transportation_fixture(self):
-        # moving the 0.3 mass imbalance across distance 2 at factored cost
+        # moving the 0.3 mass imbalance across distance 2 at cost
         # 0.25 * 4 = 1 gives optimum 0.3
         p = problem(
             [measure([[0.0], [2.0]], [0.3, 0.7]), measure([[0.0], [2.0]], [0.6, 0.4])]
         )
-        solution = solve(build_transportation(p))
+        solution = solve(build_general(p))
         assert solution.objective_value == pytest.approx(0.3, abs=1e-10)
 
     def test_deterministic_bit_for_bit(self):
         p = generators.general_position(3, 3, 2, seed=17)
         model = build_general(p)
-        a = solve(model, pivot_rule="dantzig")
-        b = solve(model, pivot_rule="dantzig")
+        a = solve(model)
+        b = solve(model)
         assert a.status == b.status
         assert a.objective_value == b.objective_value
         assert np.array_equal(a.values, b.values)
         assert a.basis == b.basis
-
-    def test_pivot_rules_agree_on_objective(self):
-        for seed in range(5):
-            p = generators.general_position(2, 3, 2, seed=seed)
-            model = build_reduced(build_atlas_exact(p), p)
-            bland = solve(model, pivot_rule="bland")
-            dantzig = solve(model, pivot_rule="dantzig")
-            assert bland.status == dantzig.status == "optimal"
-            assert bland.objective_value == pytest.approx(
-                dantzig.objective_value, abs=1e-9
-            )
-
-    def test_unknown_pivot_rule(self, forced_problem):
-        with pytest.raises(ValueError):
-            solve(build_general(forced_problem), pivot_rule="steepest")
 
     def test_iteration_limit_reported(self):
         p = generators.general_position(3, 3, 2, seed=1)
@@ -113,36 +106,50 @@ class TestSolve:
         assert solve(model).status == "unbounded"
 
     def test_solution_invariants(self):
-        for seed in range(4):
-            p = generators.general_position(3, 2, 2, seed=seed)
-            for model in (build_general(p), build_reduced(build_atlas_exact(p), p)):
+        instances = [generators.general_position(3, 2, 2, seed=s) for s in range(4)]
+        instances.append(generators.mixed(3, 3, 1, seed=7))
+        for p in instances:
+            atlas = build_atlas_exact(p)
+            for model in (
+                build_general(p),
+                build_reduced(atlas, p),
+                build_hybrid(atlas, hybrid_split(atlas), p),
+            ):
                 solution = solve(model)
                 assert solution.status == "optimal"
                 assert np.all(solution.values >= -1e-10)
                 residual = model.constraints @ solution.values - model.rhs
                 assert np.max(np.abs(residual)) <= 1e-9
-                # vertex: basic columns are linearly independent
-                assert len(set(solution.basis)) == len(solution.basis)
+                assert_vertex(model, solution)
 
-    def test_degenerate_cycling_instance_terminates(self):
-        # textbook cycling LP: every vertex of interest is degenerate; the
-        # greedy rule must hand over to the smallest-index rule and finish
+    def test_degenerate_cycling_instance_terminates(self, monkeypatch):
+        # Beale's cycling LP, with the last row's slack scaled by 2 so that
+        # phase 1 enters it and phase 2 starts at the textbook's degenerate
+        # vertex: the greedy rule cycles there and must hand over to the
+        # smallest-index rule to finish
         from barylp.oracle import basis_enumeration_solve
 
         cost = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]
         dense = [
             [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
             [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 2.0],
         ]
         model = raw_model(cost, dense, [0.0, 0.0, 1.0])
         reference = basis_enumeration_solve(model)
-        for rule in ("bland", "dantzig"):
-            solution = solve(model, pivot_rule=rule)
-            assert solution.status == "optimal", rule
-            assert solution.objective_value == pytest.approx(
-                reference.value, abs=1e-9
-            )
+
+        states = []
+        init = _Simplex.__init__
+
+        def recording_init(self, *args):
+            init(self, *args)
+            states.append(self)
+
+        monkeypatch.setattr(_Simplex, "__init__", recording_init)
+        solution = solve(model)
+        assert [state.bland for state in states] == [True]
+        assert solution.status == "optimal"
+        assert solution.objective_value == pytest.approx(reference.value, abs=1e-9)
 
     def test_combination_ordinals_decode_round_trip(self):
         import itertools
@@ -167,7 +174,7 @@ class TestSolve:
         p = problem(
             [measure([[0.0], [1.0]], [0.5, 0.5]), measure([[0.0], [1.0]], [0.5, 0.5])]
         )
-        solution = solve(build_transportation(p))
+        solution = solve(build_general(p))
         assert solution.status == "optimal"
         assert solution.objective_value == pytest.approx(0.0, abs=1e-12)
 
@@ -210,7 +217,7 @@ class TestCrashBasis:
         self, instance, formulation
     ):
         model = crash_model(instance, formulation)
-        state = _Simplex(model, 100, "bland")
+        state = _Simplex(model, 100)
         m, nv = state.m, state.nv
 
         expected = reference_crash(model)
@@ -233,7 +240,7 @@ class TestCrashBasis:
     def test_refactor_inverts_a_symmetric_basis(self):
         # the in-place inversion must not take a symmetric-matrix path
         model = raw_model([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [2.0, 1.0])
-        state = _Simplex(model, 100, "bland")
+        state = _Simplex(model, 100)
         state.basis[:] = [0, 1]
         state.refactor()
         assert np.allclose(state.binv, [[0.0, 1.0], [1.0, -1.0]])
@@ -241,13 +248,11 @@ class TestCrashBasis:
 
     def test_models_without_zero_rows_start_all_artificial(self):
         p = generators.general_position(2, 3, 2, seed=5)
-        for model in (build_general(p), build_transportation(p)):
-            state = _Simplex(model, 100, "bland")
-            assert np.array_equal(
-                state.basis, np.arange(state.nv, state.nv + state.m)
-            )
-            assert not state.in_basis.any()
-            assert np.array_equal(state.x_basic, model.rhs)
+        model = build_general(p)
+        state = _Simplex(model, 100)
+        assert np.array_equal(state.basis, np.arange(state.nv, state.nv + state.m))
+        assert not state.in_basis.any()
+        assert np.array_equal(state.x_basic, model.rhs)
 
 
 class TestCrossFormulation:
@@ -265,26 +270,21 @@ class TestCrossFormulation:
                 ("general", build_general(p)),
                 ("hybrid", build_hybrid(atlas, split, p)),
             ):
-                solution = solve(model, pivot_rule="dantzig")
+                solution = solve(model)
                 assert solution.status == "optimal", (name, seed)
                 objectives[name] = solution.objective_value
             spread = max(objectives.values()) - min(objectives.values())
             assert spread <= 1e-8, objectives
-            if p.n == 2:
-                tr = solve(build_transportation(p), pivot_rule="dantzig")
-                assert tr.objective_value == pytest.approx(
-                    objectives["general"], abs=1e-8
-                )
 
 
 class TestGridRegimeSolving:
     def test_full_grid_atlas_models_reach_same_optimum(self):
         p = generators.grid(3, 3, 2, seed=44)
         fast = build_atlas_grid(p)
-        reference = solve(build_general(p), pivot_rule="dantzig")
+        reference = solve(build_general(p))
         for build in (build_original, build_reduced):
             model = build(fast, p)
-            solution = solve(model, pivot_rule="dantzig")
+            solution = solve(model)
             assert solution.status == "optimal"
             assert solution.objective_value == pytest.approx(
                 reference.objective_value, abs=1e-8
@@ -296,9 +296,9 @@ class TestGridRegimeSolving:
         for seed in range(3):
             p = generators.grid(3, 3, 2, density=0.5, seed=90 + seed)
             fast = build_atlas_grid(p)
-            reference = solve(build_general(p), pivot_rule="dantzig")
+            reference = solve(build_general(p))
             model = build_reduced(fast, p)
-            solution = solve(model, pivot_rule="dantzig")
+            solution = solve(model)
             assert solution.status == "optimal"
             assert solution.objective_value == pytest.approx(
                 reference.objective_value, abs=1e-8
@@ -364,7 +364,7 @@ class TestMpsExport:
 
     def test_round_trip_transportation(self):
         p = generators.general_position(2, 2, 1, seed=23)
-        model = build_transportation(p)
+        model = build_general(p)
         buf = io.StringIO()
         export_mps(model, buf)
         rows, row_types, columns, rhs = parse_mps(buf.getvalue())
@@ -451,7 +451,6 @@ class TestExtraction:
             (build_reduced(atlas, p), True),
             (build_general(p), False),
             (build_hybrid(atlas, split, p), True),
-            (build_transportation(p), False),
         ):
             solution = solve(model)
             bary = extract_barycenter(
@@ -497,7 +496,7 @@ class TestVerification:
         for seed in range(3):
             p = generators.general_position(3, 3, 2, seed=60 + seed)
             model = build_general(p)
-            bary = extract_barycenter(solve(model, pivot_rule="dantzig"), model, p)
+            bary = extract_barycenter(solve(model), model, p)
             report = verify_solution(bary, p)
             assert report.passed
             assert all(c.passed for c in report.checks)
@@ -534,6 +533,9 @@ class TestVerification:
 
 
 class TestTotalCost:
+    """The plan cost a solution stores, and its recomputation by
+    ``verify_solution``."""
+
     def test_zero_transport(self):
         p = problem([measure([[0.0]], [1.0]), measure([[1.0]], [1.0])])
         bary = BarycenterSolution(
@@ -543,24 +545,24 @@ class TestTotalCost:
             source_formulation="general",
             verification=VerificationReport(checks=()),
         )
-        assert total_cost(bary, p) == 0.0
+        assert verify_solution(bary, p)["cost"].detail == "stored 0 recomputed 0"
 
     def test_forced_instance_cost(self, forced_problem):
         model = build_general(forced_problem)
         solution = solve(model)
         bary = extract_barycenter(solution, model, forced_problem)
-        assert total_cost(bary, forced_problem) == pytest.approx(0.25, abs=1e-12)
+        assert bary.cost == pytest.approx(0.25, abs=1e-12)
+        assert verify_solution(bary, forced_problem)["cost"].passed
 
     def test_matches_objective_on_solved_instances(self):
         for seed in range(4):
             p = generators.general_position(2, 3, 2, seed=70 + seed)
             atlas = build_atlas_exact(p)
             model = build_reduced(atlas, p)
-            solution = solve(model, pivot_rule="dantzig")
+            solution = solve(model)
             bary = extract_barycenter(solution, model, p, atlas=atlas)
-            assert total_cost(bary, p) == pytest.approx(
-                solution.objective_value, abs=1e-8
-            )
+            assert bary.cost == pytest.approx(solution.objective_value, abs=1e-8)
+            assert verify_solution(bary, p)["cost"].passed
 
     def test_bad_indices_rejected(self):
         p = problem([measure([[0.0]], [1.0]), measure([[1.0]], [1.0])])
@@ -572,7 +574,7 @@ class TestTotalCost:
             verification=VerificationReport(checks=()),
         )
         with pytest.raises(IndexError):
-            total_cost(bary, p)
+            verify_solution(bary, p)
 
 
 class TestSolutionJson:

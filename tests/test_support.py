@@ -206,7 +206,7 @@ class TestExactAtlas:
                 mean = means[meta[1]]
                 j = nearest_candidate(atlas, mean)
                 assert atlas.support_points[j] == pytest.approx(mean, abs=1e-9)
-                assert not split.uses_y(j), atlas.regime
+                assert j not in split.y_points, atlas.regime
 
 
 class TestGridAtlas:
@@ -378,14 +378,14 @@ class TestHybridSplit:
         center = atlas.candidate_index((1.5, 1.5))
         assert atlas.multiplicity[center] == 1936
         assert split.budgets[center] == 4 * 16 + 1
-        assert split.uses_y(center)
+        assert center in split.y_points
 
     def test_grid_corner_prefers_fixed(self):
         p = generators.grid(4, 4, 2, seed=0)
         atlas = build_atlas_grid(p)
         split = hybrid_split(atlas)
         corner = atlas.candidate_index((0.0, 0.0))
-        assert not split.uses_y(corner)
+        assert corner not in split.y_points
 
     def test_partition_covers_each_combination_once(self):
         p = generators.grid(3, 3, 1, seed=7)
@@ -397,4 +397,4 @@ class TestHybridSplit:
             assert len(w) == len(set(w))
             for h, mean in enumerate(means):
                 j = nearest_candidate(atlas, mean)
-                assert (h in w) == (not split.uses_y(j)), (atlas.regime, h)
+                assert (h in w) == (j not in split.y_points), (atlas.regime, h)
