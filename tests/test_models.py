@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from barylp import generators
+from barylp.cli import RunConfig, _build_model
 from barylp.models import (
     FormulationError,
     build_general,
@@ -206,6 +207,37 @@ class TestBuildGeneral:
         ]:
             model = build_general(p)
             assert model.objective == pytest.approx(plain_fixed_costs(p), rel=1e-12)
+
+
+class TestBuildTransportation:
+    """``--formulation transportation``: the two-measure general model."""
+
+    @staticmethod
+    def transportation(p):
+        return _build_model("transportation", p, None, RunConfig())
+
+    def test_factored_costs(self):
+        first = measure([[0.0, 1.0], [2.0, -1.0], [3.0, 0.5]], [0.2, 0.3, 0.5])
+        second = measure([[1.0, 1.0], [-2.0, 0.0]], [0.6, 0.4])
+        lam = 0.3
+        model = self.transportation(problem([first, second], weights=[lam, 1.0 - lam]))
+        # combination (k, l) sits at column k * p2 + l
+        factored = [
+            lam * (1.0 - lam) * sum((a - b) ** 2 for a, b in zip(xk, xl))
+            for xk in first.points
+            for xl in second.points
+        ]
+        assert model.objective == pytest.approx(factored, rel=1e-12, abs=1e-15)
+
+    def test_same_shape_as_general(self):
+        p = generators.general_position(2, 3, 2, seed=5)
+        transport = self.transportation(p)
+        general = build_general(p)
+        assert transport.num_vars == general.num_vars
+        assert transport.num_constraints == general.num_constraints
+        assert transport.var_meta == general.var_meta
+        assert transport.row_meta == general.row_meta
+        assert np.allclose(transport.objective, general.objective, atol=1e-12)
 
 
 class TestBuildHybrid:
