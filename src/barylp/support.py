@@ -204,12 +204,12 @@ class SupportAtlas:
         quant = self._quantizer
         out = []
         for _, scaled in combination_chunks(problem, quant.scaled_weights, cap=cap):
-            keys, inverse = np.unique(quant.keys(scaled), axis=0, return_inverse=True)
+            keys, _, inverse = _unique_rows(quant.keys(scaled))
             index = np.array(
                 [self._key_to_index[key] for key in _key_tuples(keys)],
                 dtype=np.int64,
             )
-            out.append(index[inverse.reshape(-1)])
+            out.append(index[inverse])
         return np.concatenate(out)
 
 
@@ -238,10 +238,7 @@ def build_atlas_exact(
     local = np.empty(total, dtype=np.int64)
     start = offset = 0
     for idx, scaled in chunks:
-        keys, first, inverse = np.unique(
-            quant.keys(scaled), axis=0, return_index=True, return_inverse=True
-        )
-        inverse = inverse.reshape(-1)
+        keys, first, inverse = _unique_rows(quant.keys(scaled))
         chunk_keys.append(keys)
         chunk_means.append(scaled[first])
         local[start:start + len(idx)] = inverse + offset
@@ -253,9 +250,7 @@ def build_atlas_exact(
         offset += u
 
     # Across chunks the earliest chunk holding a key supplies its mean.
-    keys, first, inverse = np.unique(
-        np.concatenate(chunk_keys), axis=0, return_index=True, return_inverse=True
-    )
+    keys, first, inverse = _unique_rows(np.concatenate(chunk_keys))
     scaled_points = np.concatenate(chunk_means)[first]
 
     # Canonical indexing: sort candidates lexicographically by coordinate.
@@ -263,7 +258,7 @@ def build_atlas_exact(
     npts = len(order)
     relabel = np.empty(npts, dtype=np.int64)
     relabel[order] = np.arange(npts)
-    label = relabel[inverse.reshape(-1)]
+    label = relabel[inverse]
     combo_to_index = label[local]
 
     # Distinct incidences as (global point id, candidate), where measure i's
@@ -397,6 +392,20 @@ def build_atlas_grid(problem: Problem, grid: GridSpec | None = None) -> SupportA
         _quantizer=quant,
         _combo_to_index=None,
     )
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_index=True, return_inverse=True)``:
+    the sorted distinct rows, each one's first index and every row's label.
+    A stable lexsort and a neighbour compare do it faster than the
+    structured-view sort of ``np.unique``."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], order[new], inverse
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:

@@ -54,8 +54,6 @@ def _solve_record(problem, kind, params):
         "general": build_general(problem),
         "hybrid": build_hybrid(atlas, split, problem),
     }
-    if problem.n == 2:
-        models["transportation"] = build_general(problem)
     solutions = {}
     barys = {}
     for name, model in models.items():
@@ -118,8 +116,6 @@ def test_criterion_01_cross_formulation_optimality(suite):
         }
         spread = max(objectives.values()) - min(objectives.values())
         assert spread <= 1e-8, (record["kind"], record["params"], objectives)
-        if record["problem"].n == 2:
-            assert "transportation" in objectives
     n_gp = sum(1 for r in suite["records"] if r["kind"] == "general-position")
     n_grid = sum(1 for r in suite["records"] if r["kind"] == "full-grid")
     assert (n_gp, n_grid) == (50, 10)
@@ -243,16 +239,13 @@ def test_criterion_08_oracle_equivalence():
         problem = generators.general_position(
             n, p, 1 + seed % 2, seed=SEED + 300 + seed, random_weights=seed % 2 == 0
         )
-        candidates = [build_general(problem)]
-        if n == 2:
-            candidates.append(build_general(problem))
-        for model in candidates:
-            reference = basis_enumeration_solve(model)
-            assert reference.status == "optimal"
-            solution = solve(model)
-            assert solution.status == "optimal"
-            assert abs(solution.objective_value - reference.value) <= 1e-9
-            models_checked += 1
+        model = build_general(problem)
+        reference = basis_enumeration_solve(model)
+        assert reference.status == "optimal"
+        solution = solve(model)
+        assert solution.status == "optimal"
+        assert abs(solution.objective_value - reference.value) <= 1e-9
+        models_checked += 1
     assert models_checked >= 50
 
     duplicate_cases = [

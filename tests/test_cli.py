@@ -1,9 +1,15 @@
 """End-to-end CLI behavior: commands, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import barylp
 from barylp import cli
 from barylp.cli import main
 
@@ -178,6 +184,32 @@ class TestSolve:
     def test_general_blowup_exit_code(self, small_path, capsys):
         assert main(["solve", "--formulation", "general", "--cap", "2", small_path]) == 3
         assert "combination blowup" in capsys.readouterr().err
+
+    def test_too_large_basis_exit_code(self, tmp_path, capsys):
+        # original and reduced have 15650 rows here: a 1.96 GB dense basis,
+        # which used to end in a MemoryError traceback or an out-of-memory kill
+        path = str(tmp_path / "gp552.json")
+        argv = ["gen", "general", "-n", "5", "-p", "5", "-d", "2", "--seed", "3"]
+        assert main([*argv, "--out", path]) == 0
+        start = time.perf_counter()
+        assert main(["solve", path]) == 4
+        assert time.perf_counter() - start < 10.0
+        out = capsys.readouterr().out
+        statuses = [line.split(": ")[1] for line in out.splitlines() if "status:" in line]
+        assert statuses == ["too-large", "too-large", "optimal", "optimal"]
+        assert out.count("15650 rows") == 2
+
+
+def test_cli_import_leaves_out_heavy_scipy_modules():
+    # importing these adds about 2 MB (scipy.sparse.linalg) and 16 MB
+    # (scipy.optimize) of resident memory to every run
+    heavy = ("scipy.sparse.linalg", "scipy.optimize")
+    code = f"import sys, barylp.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(barylp.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestGen:

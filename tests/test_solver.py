@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from barylp import generators
+from barylp import generators, solver
 from barylp.models import (
     LpModel,
     build_general,
@@ -178,6 +178,38 @@ class TestSolve:
         assert solution.status == "optimal"
         assert solution.objective_value == pytest.approx(0.0, abs=1e-12)
 
+    def test_tied_entering_columns_go_to_the_cheaper(self, monkeypatch):
+        # columns 0 and 1 are equal, so their reduced costs tie; column 1 is
+        # cheaper and must enter, column 0 never
+        model = raw_model([2.0, 1.0, 0.0], [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]], [1.0, 1.0])
+        entered = []
+        apply_pivot = _Simplex.apply_pivot
+
+        def recording_pivot(self, entering, *args):
+            entered.append(entering)
+            apply_pivot(self, entering, *args)
+
+        monkeypatch.setattr(_Simplex, "apply_pivot", recording_pivot)
+        solution = solve(model)
+        assert solution.status == "optimal"
+        assert solution.objective_value == pytest.approx(1.0, abs=1e-12)
+        assert entered[0] == 1 and 0 not in entered
+
+    def test_too_large_basis_is_refused_before_allocating(self, monkeypatch):
+        model = build_general(generators.general_position(2, 3, 2, seed=5))
+        m = model.num_constraints
+        monkeypatch.setattr(solver, "MAX_BASIS_BYTES", 8 * m * m)
+        assert solve(model).status == "optimal"
+
+        def refuse(*args):
+            raise AssertionError("the simplex was set up")
+
+        monkeypatch.setattr(solver, "MAX_BASIS_BYTES", 8 * m * m - 1)
+        monkeypatch.setattr(_Simplex, "__init__", refuse)
+        solution = solve(model)
+        assert solution.status == "too-large"
+        assert math.isnan(solution.objective_value) and solution.iterations == 0
+
 
 def crash_model(instance, formulation):
     if instance == "grid":
@@ -229,7 +261,9 @@ class TestCrashBasis:
         full = sp.hstack([model.constraints, sp.identity(m)], format="csc")
         basis_matrix = full[:, state.basis].toarray()
         assert np.linalg.matrix_rank(basis_matrix) == m
-        assert np.allclose(state.binv @ basis_matrix, np.eye(m), atol=1e-10)
+        assert np.allclose(state.inverse() @ basis_matrix, np.eye(m), atol=1e-10)
+        # the crash writes its inverse out, so x_B is b exactly
+        assert np.array_equal(state.x_basic, model.rhs)
 
         assert state.x_basic.min() >= -FEAS_TOL
         assert np.abs(state.x_basic[list(expected)]).max() <= FEAS_TOL
@@ -237,13 +271,50 @@ class TestCrashBasis:
         # same phase-1 infeasibility as the all-artificial start
         assert state.x_basic[artificial].sum() == pytest.approx(model.rhs.sum())
 
+    @pytest.mark.parametrize("instance", ["grid", "mixed"])
+    @pytest.mark.parametrize("formulation", ["original", "reduced", "hybrid"])
+    def test_crash_inverse_is_written_out(self, monkeypatch, instance, formulation):
+        model = crash_model(instance, formulation)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the crash basis was factored")
+
+        monkeypatch.setattr(solver, "dgetrf", refuse)
+        state = _Simplex(model, 100)
+        full = sp.hstack([model.constraints, sp.identity(state.m)], format="csc")
+        expected = np.linalg.inv(full[:, state.basis].toarray())
+        assert np.abs(state.inverse() - expected).max() <= 1e-12
+
+    def test_optimal_start_basis_forms_no_inverse(self, monkeypatch):
+        # every row has b = 0 and crashes onto columns 0 and 1, which are
+        # optimal; each phase end only factors the basis to check that
+        model = raw_model([1.0, 1.0, 3.0], [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [0.0, 0.0])
+        calls = {"dgetrf": 0, "dgetri": 0}
+
+        def counting(name):
+            routine = getattr(solver, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return routine(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(solver, name, counting(name))
+        solution = solve(model)
+        assert solution.status == "optimal" and solution.iterations == 0
+        assert solution.objective_value == 0.0
+        assert calls == {"dgetrf": 2, "dgetri": 0}
+
     def test_refactor_inverts_a_symmetric_basis(self):
-        # the in-place inversion must not take a symmetric-matrix path
+        # factor and invert in place (dgetrf, then dgetri on first use); a
+        # symmetric basis once crashed a structure-detecting inversion
         model = raw_model([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [2.0, 1.0])
         state = _Simplex(model, 100)
         state.basis[:] = [0, 1]
         state.refactor()
-        assert np.allclose(state.binv, [[0.0, 1.0], [1.0, -1.0]])
+        assert np.allclose(state.inverse(), [[0.0, 1.0], [1.0, -1.0]])
         assert np.allclose(state.x_basic, [1.0, 1.0])
 
     def test_models_without_zero_rows_start_all_artificial(self):
