@@ -281,21 +281,23 @@ def cmd_compare(args) -> int:
     for name in formulations:
         model, solution, bary = _run(name, problem, atlas, config)
         if bary is None:
-            raise CliError(EXIT_SOLVER, f"{name}: solver returned {solution.status}")
-        objectives[name] = solution.objective_value
-        if len(bary.support) > bound:
-            support_ok = False
+            # the status takes the objective column; the spread skips it
+            objective = f"{solution.status:>16}"
+        else:
+            objectives[name] = solution.objective_value
+            support_ok = support_ok and len(bary.support) <= bound
+            objective = f"{solution.objective_value:>16.10g}"
         print(
             f"{name:<15}{model.num_constraints:>8}{model.num_vars:>10}"
-            f"{model.num_nonzeros:>10}{solution.objective_value:>16.10g}"
+            f"{model.num_nonzeros:>10}{objective}"
         )
-    spread = max(objectives.values()) - min(objectives.values())
+    spread = max(objectives.values(), default=0.0) - min(objectives.values(), default=0.0)
     agree = spread <= 1e-8
     print(f"objective agreement: {'OK' if agree else 'FAIL'} (spread {spread:.3g})")
     print(f"sparsity bound {bound}: {'OK' if support_ok else 'FAIL'}")
     if not agree:
         raise CliError(EXIT_SOLVER, f"objectives disagree by {spread:.3g}")
-    return EXIT_OK
+    return EXIT_OK if len(objectives) == len(formulations) else EXIT_SOLVER
 
 
 def cmd_sizes(args) -> int:
@@ -469,26 +471,27 @@ def cmd_gen(args) -> int:
 
 def _config_from(args) -> RunConfig:
     return RunConfig(
-        regime=getattr(args, "regime", "auto"),
-        dedup_tol=getattr(args, "tol", DEFAULT_DEDUP_TOL),
-        cap=getattr(args, "cap", DEFAULT_COMBINATION_CAP),
-        max_iters=getattr(args, "max_iters", 100_000),
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", "json"),
+        regime=args.regime,
+        dedup_tol=args.tol,
+        cap=args.cap,
+        max_iters=args.max_iters,
+        out=args.out,
+        fmt=args.format,
     )
 
 
 def _add_pipeline_flags(sub):
+    defaults = RunConfig()
     sub.add_argument("--formulation", default="all",
                      choices=("original", "reduced", "general", "hybrid", "transportation", "all"))
-    sub.add_argument("--regime", default="auto", choices=("auto", "exact", "grid"))
-    sub.add_argument("--tol", type=float, default=DEFAULT_DEDUP_TOL,
+    sub.add_argument("--regime", default=defaults.regime, choices=("auto", "exact", "grid"))
+    sub.add_argument("--tol", type=float, default=defaults.dedup_tol,
                      help="mean deduplication tolerance")
-    sub.add_argument("--cap", type=int, default=DEFAULT_COMBINATION_CAP,
+    sub.add_argument("--cap", type=int, default=defaults.cap,
                      help="combination count guard")
-    sub.add_argument("--max-iters", dest="max_iters", type=int, default=100_000)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--format", default="json", choices=("json", "grid-csv"))
+    sub.add_argument("--max-iters", dest="max_iters", type=int, default=defaults.max_iters)
+    sub.add_argument("--out", default=defaults.out)
+    sub.add_argument("--format", default=defaults.fmt, choices=("json", "grid-csv"))
     sub.add_argument("input", nargs="+")
 
 

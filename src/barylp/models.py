@@ -16,12 +16,15 @@ All models are pure equality-constrained LPs over nonnegative variables.
 Variables are ordered z-block, then y-block by (i, j, k), then w-block by
 combination ordinal, so builds are deterministic.  The z- and y-blocks and
 the balance rows come from one builder shared by ``original``, ``reduced``
-and ``hybrid``; the w-block of ``general`` and ``hybrid`` is computed by the
-combination kernel of :mod:`barylp.support` and assembled column-wise.
+and ``hybrid``, which reads the y-columns off the atlas's CSR incidence
+arrays (every point for ``original``) and computes their entries and costs
+as whole arrays; the w-block of ``general`` and ``hybrid`` is computed by
+the combination kernel of :mod:`barylp.support` and assembled column-wise.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,153 +93,158 @@ class LpModel:
                 raise AssertionError(f"marginal rhs {b} outside (0, 1]")
 
 
-def _sq_dist(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum((ai - bi) ** 2 for ai, bi in zip(a, b))
-
-
 class _Assembler:
-    """Accumulates triplets and metadata, then freezes a model."""
+    """Accumulates rows and blocks of columns, then freezes a model.  All
+    columns of a block hold equally many entries, each equal to the
+    block's one value."""
 
     def __init__(self, formulation: str):
         self.formulation = formulation
-        self.obj: list[float] = []
         self.var_meta: list = []
         self.row_meta: list = []
         self.rhs: list[float] = []
-        self._rows: list[int] = []
-        self._cols: list[int] = []
-        self._vals: list[float] = []
-        self._fixed_rows = np.empty((0, 0), dtype=np.int64)
+        self._costs: list[np.ndarray] = []
+        self._blocks: list[tuple[np.ndarray, float]] = []
 
-    def add_var(self, meta, cost: float) -> int:
-        self.var_meta.append(meta)
-        self.obj.append(cost)
-        return len(self.var_meta) - 1
+    def add_rows(self, metas: list, rhs: Sequence[float]) -> int:
+        """Append rows; returns the index of the first."""
+        first = len(self.row_meta)
+        self.row_meta.extend(metas)
+        self.rhs.extend(rhs)
+        return first
 
-    def add_row(self, meta, rhs: float) -> int:
-        self.row_meta.append(meta)
-        self.rhs.append(rhs)
-        return len(self.row_meta) - 1
-
-    def add_entry(self, row: int, col: int, val: float) -> None:
-        self._rows.append(row)
-        self._cols.append(col)
-        self._vals.append(val)
-
-    def add_fixed_transport(
-        self,
-        problem: Problem,
-        marginal: list[list[int]],
-        ordinals: np.ndarray | None,
-        cap: int,
-    ) -> None:
-        """Append one ``("w", h)`` column per combination ordinal h (every
-        combination when None) with unit entries in its n marginal rows.
-
-        Its cost routes one unit of mass from the combination's weighted
-        mean to each constituent point: sum_i lambda_i |mean - x_{i,k_i}|^2.
-        Must be the last columns added.
-        """
-        first_row = np.array([rows[0] for rows in marginal], dtype=np.int64)
-        points = [np.asarray(m.points, dtype=np.float64) for m in problem.measures]
-        rows, costs = [], []
-        for idx, mean in combination_chunks(problem, problem.weights, ordinals, cap):
-            cost = np.zeros(len(idx))
-            for i, lam in enumerate(problem.weights):
-                diff = mean - points[i][idx[:, i]]
-                sq = np.zeros(len(idx))
-                for l in range(problem.dimension):
-                    sq += diff[:, l] ** 2
-                cost += lam * sq
-            rows.append(idx + first_row)
-            costs.append(cost)
-        self._fixed_rows = np.concatenate(rows)
-        if ordinals is None:
-            ordinals = np.arange(len(self._fixed_rows))
-        self.var_meta.extend(("w", h) for h in ordinals.tolist())
-        self.obj.extend(np.concatenate(costs).tolist())
+    def add_columns(self, metas: list, costs: np.ndarray, rows: np.ndarray, val: float) -> None:
+        """Append one column per meta; column c holds ``val`` in each of
+        the rows ``rows[c]``."""
+        self.var_meta.extend(metas)
+        self._costs.append(costs)
+        self._blocks.append((rows, val))
 
     def freeze(self) -> LpModel:
-        shape = (len(self.rhs), len(self.obj))
-        fixed, n = self._fixed_rows.shape
-        matrix = sp.csr_matrix(
-            (self._vals, (self._rows, self._cols)),
-            shape=(shape[0], shape[1] - fixed),
-            dtype=np.float64,
-        )
-        if fixed:
-            # every fixed-transport column holds exactly n unit entries
-            block = sp.csc_matrix(
-                (np.ones(fixed * n), self._fixed_rows.ravel(), n * np.arange(fixed + 1)),
-                shape=(shape[0], fixed),
+        blocks = [
+            sp.csc_matrix(
+                (np.full(rows.size, val), rows.ravel(), rows.shape[1] * np.arange(len(rows) + 1)),
+                shape=(len(self.rhs), len(rows)),
             )
-            matrix = sp.hstack([matrix, block], format="csr")
+            for rows, val in self._blocks
+        ]
         return LpModel(
             formulation=self.formulation,
-            objective=np.asarray(self.obj, dtype=np.float64),
-            constraints=matrix,
+            objective=np.concatenate(self._costs),
+            constraints=sp.hstack(blocks, format="csr"),
             rhs=np.asarray(self.rhs, dtype=np.float64),
             var_meta=tuple(self.var_meta),
             row_meta=tuple(self.row_meta),
         )
 
 
-def _marginal_rows(asm: _Assembler, problem: Problem) -> list[list[int]]:
-    rows = []
-    for i, m in enumerate(problem.measures):
-        rows.append(
-            [asm.add_row(("marginal", i, k), m.masses[k]) for k in range(len(m))]
-        )
-    return rows
+def _marginal_rows(asm: _Assembler, problem: Problem) -> np.ndarray:
+    """Add the marginal rows; returns the first row of each measure's."""
+    return np.array([
+        asm.add_rows([("marginal", i, k) for k in range(len(m))], m.masses)
+        for i, m in enumerate(problem.measures)
+    ])
 
 
 def _mass_transport(
     asm: _Assembler,
     atlas: SupportAtlas,
     problem: Problem,
-    candidates: Sequence[int],
+    candidates: np.ndarray,
     pruned: bool,
-) -> list[list[int]]:
-    """Add the z-columns and balance rows of ``candidates``, the marginal
-    rows, then one y-column from each candidate j to each point k of each
-    measure i: every point, or with ``pruned`` only the pairs (i, k) in
-    ``atlas.sources(j)``.  Returns the marginal rows."""
-    n = problem.n
-    z_col = {j: asm.add_var(("z", j), 0.0) for j in candidates}
-    balance = {}
-    for i in range(n):
-        for j in candidates:
-            r = asm.add_row(("balance", i, j), 0.0)
-            asm.add_entry(r, z_col[j], -1.0)
-            balance[i, j] = r
+) -> np.ndarray:
+    """Add the z-columns and balance rows of the ascending ``candidates``,
+    the marginal rows, then one y-column from each candidate j to each
+    point k of each measure i: every point, or with ``pruned`` only the
+    pairs (i, k) in ``atlas.sources(j)``.  Returns the first marginal row
+    of each measure."""
+    n, c = problem.n, len(candidates)
+    js = candidates.tolist()
+    # the balance row of (i, candidates[p]) is balance + i*c + p
+    balance = asm.add_rows([("balance", i, j) for i in range(n) for j in js], [0.0] * (n * c))
     marginal = _marginal_rows(asm, problem)
+    z_rows = balance + np.arange(c)[:, None] + c * np.arange(n)
+    asm.add_columns([("z", j) for j in js], np.zeros(c), z_rows, -1.0)
 
-    for i, m in enumerate(problem.measures):
-        lam = problem.weights[i]
-        for j in candidates:
-            xj = atlas.support_points[j]
-            if pruned:
-                targets = [k for src_i, k in atlas.sources(j) if src_i == i]
-            else:
-                targets = range(len(m))
-            for k in targets:
-                c = asm.add_var(("y", i, j, k), lam * _sq_dist(xj, m.points[k]))
-                asm.add_entry(balance[i, j], c, 1.0)
-                asm.add_entry(marginal[i][k], c, 1.0)
+    # Global point g numbers measure i's points from offsets[i].
+    offsets = np.cumsum((0,) + problem.sizes)
+    if pruned:
+        indptr, measure, point = atlas.source_indptr, atlas.source_measure, atlas.source_point
+    else:
+        # every candidate reaches every point
+        g = np.tile(np.arange(offsets[-1]), atlas.point_count)
+        measure = np.searchsorted(offsets, g, side="right") - 1
+        point = g - offsets[measure]
+        indptr = offsets[-1] * np.arange(atlas.point_count + 1)
+
+    # The incidence entries of the candidates, reordered by (i, j, k).
+    position = np.full(atlas.point_count, -1)
+    position[candidates] = np.arange(c)
+    pos = np.repeat(position, np.diff(indptr))
+    keep = np.flatnonzero(pos >= 0)
+    keep = keep[np.argsort(measure[keep], kind="stable")]
+    yi, pos, yk = measure[keep], pos[keep], point[keep]
+    yj = candidates[pos]
+
+    # Squares summed axis by axis from zero, as the scalar expression
+    # lam * sum((a - b) ** 2 ...) does; float_power rounds like ``** 2``.
+    points = np.concatenate([np.asarray(m.points, dtype=np.float64) for m in problem.measures])
+    diff = np.asarray(atlas.support_points)[yj] - points[offsets[yi] + yk]
+    sq = np.zeros(len(keep))
+    for column in diff.T:
+        sq += np.float_power(column, 2.0)
+    asm.add_columns(
+        list(zip(itertools.repeat("y"), yi.tolist(), yj.tolist(), yk.tolist())),
+        np.asarray(problem.weights)[yi] * sq,
+        np.column_stack((balance + yi * c + pos, marginal[yi] + yk)),
+        1.0,
+    )
     return marginal
+
+
+def _fixed_transport(
+    asm: _Assembler,
+    problem: Problem,
+    marginal: np.ndarray,
+    ordinals: np.ndarray | None,
+    cap: int,
+) -> None:
+    """Add one ``("w", h)`` column per combination ordinal h (every
+    combination when None) with unit entries in its n marginal rows, where
+    measure i's rows start at ``marginal[i]``.
+
+    Its cost routes one unit of mass from the combination's weighted mean
+    to each constituent point: sum_i lambda_i |mean - x_{i,k_i}|^2.
+    """
+    points = [np.asarray(m.points, dtype=np.float64) for m in problem.measures]
+    rows, costs = [], []
+    for idx, mean in combination_chunks(problem, problem.weights, ordinals, cap):
+        cost = np.zeros(len(idx))
+        for i, lam in enumerate(problem.weights):
+            diff = mean - points[i][idx[:, i]]
+            sq = np.zeros(len(idx))
+            for l in range(problem.dimension):
+                sq += diff[:, l] ** 2
+            cost += lam * sq
+        rows.append(idx + marginal)
+        costs.append(cost)
+    rows = np.concatenate(rows)
+    if ordinals is None:
+        ordinals = np.arange(len(rows))
+    asm.add_columns([("w", h) for h in ordinals.tolist()], np.concatenate(costs), rows, 1.0)
 
 
 def build_original(atlas: SupportAtlas, problem: Problem) -> LpModel:
     """Baseline model: every candidate transports to every original point."""
     asm = _Assembler("original")
-    _mass_transport(asm, atlas, problem, range(atlas.point_count), pruned=False)
+    _mass_transport(asm, atlas, problem, np.arange(atlas.point_count), pruned=False)
     return asm.freeze()
 
 
 def build_reduced(atlas: SupportAtlas, problem: Problem) -> LpModel:
     """Original model restricted to transports the mean structure allows."""
     asm = _Assembler("reduced")
-    _mass_transport(asm, atlas, problem, range(atlas.point_count), pruned=True)
+    _mass_transport(asm, atlas, problem, np.arange(atlas.point_count), pruned=True)
     return asm.freeze()
 
 
@@ -246,7 +254,7 @@ def build_general(
     """Fixed-transport model: one variable per combination, no candidate
     deduplication (worst-case size, minimal constraints)."""
     asm = _Assembler("general")
-    asm.add_fixed_transport(problem, _marginal_rows(asm, problem), None, cap)
+    _fixed_transport(asm, problem, _marginal_rows(asm, problem), None, cap)
     return asm.freeze()
 
 
@@ -266,12 +274,12 @@ def build_hybrid(
     if split.y_points and max(split.y_points) >= atlas.point_count:
         raise FormulationError("split references unknown candidate indices")
     asm = _Assembler("hybrid")
-    y_sorted = sorted(split.y_points)
+    y_sorted = np.array(sorted(split.y_points), dtype=np.int64)
     marginal = _mass_transport(asm, atlas, problem, y_sorted, pruned=True)
     on_y = np.zeros(atlas.point_count, dtype=bool)
     on_y[y_sorted] = True
     fixed = np.flatnonzero(~on_y[atlas.combination_candidates(problem, cap)])
-    asm.add_fixed_transport(problem, marginal, fixed, cap)
+    _fixed_transport(asm, problem, marginal, fixed, cap)
     return asm.freeze()
 
 

@@ -3,21 +3,23 @@
 Every barycenter is supported on weighted means of one support point per
 measure.  This module holds the one kernel that decodes such combinations
 and computes their means (``combination_chunks``), deduplicates the means
-into a candidate point set with full incidence structure (the "atlas"),
-counts how many combinations collapse onto each candidate, and splits
-candidates between fixed-transport and mass/transport variable
-representations for the hybrid model.
+into a candidate point set (the "atlas") together with its incidence: for
+each candidate, the (measure, point) pairs some combination reaching it
+uses, stored once as CSR arrays.  It also counts how many combinations
+collapse onto each candidate, and splits candidates between
+fixed-transport and mass/transport variable representations for the
+hybrid model.
 
 Two construction regimes exist: ``exact`` walks every combination and
 deduplicates (smallest possible models, exponential effort), ``grid``
 generates the refined lattice that contains all means of lattice-supported
 measures with uniform weights (polynomial effort, possibly unreachable
-candidates).
+candidates), with each support point reaching a box of candidates given in
+closed form by the per-axis index sums.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -153,13 +155,18 @@ def _key_tuples(keys: np.ndarray) -> Iterator[tuple[int, ...]]:
 class SupportAtlas:
     """Candidate support points with their incidence structure.
 
-    ``support_points`` are sorted lexicographically by coordinate.
-    ``reachable(i, k)`` lists candidate indices j whose mean computation can
-    use support point k of measure i; ``sources(j)`` is the transpose.
-    ``multiplicity[j]`` counts combinations collapsing onto candidate j
-    (exactly in the exact regime, by the closed-form dice count on grids).
-    The exact regime also stores the candidate of every combination, by
-    ordinal; ``combination_candidates`` returns it in both regimes.
+    ``support_points`` are sorted lexicographically by coordinate.  The
+    incidence is stored once, in CSR form over candidates: entries
+    ``source_indptr[j]:source_indptr[j + 1]`` of ``source_measure`` and
+    ``source_point`` are the (measure i, point k) pairs that can contribute
+    to candidate j, sorted by i, then k; ``sources(j)`` reads them as
+    tuples.  In the exact regime these are the pairs some combination
+    landing on j uses; on grids, the pairs the per-axis box rule of
+    ``build_atlas_grid`` admits.  ``multiplicity[j]`` counts combinations
+    collapsing onto candidate j (exactly in the exact regime, by the
+    closed-form dice count on grids).  The exact regime also stores the
+    candidate of every combination, by ordinal; ``combination_candidates``
+    returns it in both regimes.
     """
 
     support_points: tuple[tuple[float, ...], ...]
@@ -167,9 +174,10 @@ class SupportAtlas:
     regime: str
     sizes: tuple[int, ...]
     combination_total: int
+    source_indptr: np.ndarray = field(repr=False)
+    source_measure: np.ndarray = field(repr=False)
+    source_point: np.ndarray = field(repr=False)
     fine_grid: GridSpec | None = None
-    _reach: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False, default=())
-    _sources: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, default=())
     _key_to_index: dict = field(repr=False, default_factory=dict)
     _quantizer: _Quantizer | None = field(repr=False, default=None)
     _combo_to_index: np.ndarray | None = field(repr=False, default=None)
@@ -178,13 +186,10 @@ class SupportAtlas:
     def point_count(self) -> int:
         return len(self.support_points)
 
-    def reachable(self, i: int, k: int) -> tuple[int, ...]:
-        """Candidate indices reachable using support point k of measure i."""
-        return self._reach[i][k]
-
     def sources(self, j: int) -> tuple[tuple[int, int], ...]:
         """(measure, point) index pairs contributing to candidate j."""
-        return self._sources[j]
+        a, b = self.source_indptr[j], self.source_indptr[j + 1]
+        return tuple(zip(self.source_measure[a:b].tolist(), self.source_point[a:b].tolist()))
 
     def candidate_index(self, point: Sequence[float]) -> int:
         """Index of a generated candidate point (KeyError if not generated)."""
@@ -211,6 +216,19 @@ class SupportAtlas:
             )
             out.append(index[inverse])
         return np.concatenate(out)
+
+
+def _incidence(
+    codes: np.ndarray, sizes: Sequence[int], count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR incidence from ``candidate * P + g`` codes, where P is the total
+    point count and g numbers measure i's points from ``sum(sizes[:i])``:
+    the candidate pointer (``count + 1`` entries) and the measure and point
+    index of every distinct code, in code order."""
+    offsets = np.cumsum((0,) + tuple(sizes))
+    j, g = np.divmod(_distinct(codes), offsets[-1])
+    measure = np.searchsorted(offsets, g, side="right") - 1
+    return np.searchsorted(j, np.arange(count + 1)), measure, g - offsets[measure]
 
 
 def build_atlas_exact(
@@ -261,23 +279,15 @@ def build_atlas_exact(
     label = relabel[inverse]
     combo_to_index = label[local]
 
-    # Distinct incidences as (global point id, candidate), where measure i's
-    # points are numbered from offsets[i]; sorted by point for ``reach``
-    # and re-sorted by candidate for ``sources``.
+    # Distinct (candidate, global point) incidences, where measure i's
+    # points are numbered from offsets[i].
     offsets = np.cumsum((0,) + problem.sizes).tolist()
-    codes = []
-    for i in range(n):
-        k = np.concatenate([ks for ks, _ in chunk_pairs[i]])
-        j = label[np.concatenate([ls for _, ls in chunk_pairs[i]])]
-        codes.append(_distinct((k + offsets[i]) * npts + j))
-    point, j = np.divmod(np.concatenate(codes), npts)
-    per_point = _groups(j.tolist(), point, offsets[-1])
-    reach = tuple(tuple(per_point[a:b]) for a, b in zip(offsets, offsets[1:]))
-    pair_of = [(i, k) for i, size in enumerate(problem.sizes) for k in range(size)]
-    by_candidate = np.lexsort((point, j))
-    sources = tuple(
-        _groups([pair_of[f] for f in point[by_candidate].tolist()], j[by_candidate], npts)
-    )
+    codes = [
+        label[np.concatenate([ls for _, ls in chunk_pairs[i]])] * offsets[-1]
+        + np.concatenate([ks for ks, _ in chunk_pairs[i]]) + offsets[i]
+        for i in range(n)
+    ]
+    indptr, measure, point = _incidence(np.concatenate(codes), problem.sizes, npts)
 
     return SupportAtlas(
         support_points=tuple(map(tuple, (scaled_points[order] / quant.scale).tolist())),
@@ -285,9 +295,10 @@ def build_atlas_exact(
         regime="exact",
         sizes=problem.sizes,
         combination_total=total,
+        source_indptr=indptr,
+        source_measure=measure,
+        source_point=point,
         fine_grid=None,
-        _reach=reach,
-        _sources=sources,
         _key_to_index=dict(zip(_key_tuples(keys), relabel.tolist())),
         _quantizer=quant,
         _combo_to_index=combo_to_index,
@@ -300,10 +311,13 @@ def build_atlas_grid(problem: Problem, grid: GridSpec | None = None) -> SupportA
 
     Requires uniform weights and every support point on ``grid``.  All
     ``(n*K - n + 1)**d`` refined-lattice points become candidates whether or
-    not sparse supports can actually reach them; incidence pairs are pruned
-    by per-axis sum feasibility: point k of measure i can participate in
-    candidate j only if, on every axis, the remaining sum is achievable by
-    n-1 lattice values.
+    not sparse supports can actually reach them.  A candidate is indexed by
+    its per-axis lattice index sums s in [n, n*K].  The point in lattice
+    cell c (indices 1..K) is a source of it when, on every axis l, the
+    remaining sum ``s_l - c_l`` is achievable by n-1 lattice values, that
+    is ``c_l + n - 1 <= s_l <= c_l + (n - 1)*K``: a box of candidates.  On
+    full grids these are exactly the pairs some combination uses; sparse
+    supports keep pairs no combination may use.
     """
     if grid is None:
         grid = problem.grid
@@ -320,75 +334,44 @@ def build_atlas_grid(problem: Problem, grid: GridSpec | None = None) -> SupportA
     d = grid.dim
 
     # Lattice cell of every support point (raises off-lattice).
-    cells = [
-        [grid.cell(pt) for pt in m.points] for m in problem.measures
-    ]
-    cell_to_k = [
-        {cell: k for k, cell in enumerate(measure_cells)}
-        for measure_cells in cells
-    ]
+    cells = np.array(
+        [grid.cell(pt) for m in problem.measures for pt in m.points], dtype=np.int64
+    ).reshape(-1, d)
 
     quant = _Quantizer(problem)
     if quant.scale != float(n) or any(w != 1.0 for w in quant.scaled_weights):
         # candidate coordinates below rely on the weights rescaling to
         # exactly one; nearly-uniform weights would mis-key the lattice
         raise GridRegimeError("grid regime requires exactly uniform weights 1/n")
-    lo_sum, hi_sum = n, n * K
     side = n * K - n + 1
     fine = GridSpec(dim=d, side=side, origin=grid.origin, step=grid.step / n)
 
-    support_points: list[tuple[float, ...]] = []
-    multiplicity: list[int] = []
-    sources: list[tuple[tuple[int, int], ...]] = []
-    reach_lists: list[list[list[int]]] = [
-        [[] for _ in range(len(m))] for m in problem.measures
-    ]
-    key_to_index: dict[tuple[int, ...], int] = {}
+    # Candidate j has index sums n + (digits of j in base ``side``), the
+    # first axis most significant.
+    sums = np.indices((side,) * d).reshape(d, -1).T + n
+    scaled = n * np.asarray(grid.origin) + grid.step * (sums - n)
 
-    for j, sums in enumerate(itertools.product(range(lo_sum, hi_sum + 1), repeat=d)):
-        scaled = tuple(
-            n * grid.origin[l] + grid.step * (sums[l] - n) for l in range(d)
-        )
-        key_to_index[quant.key(scaled)] = j
-        support_points.append(tuple(c / quant.scale for c in scaled))
-        multiplicity.append(combination_count(sums, K, n))
+    # A point's box starts at candidate sums c + n - 1, i.e. digits c - 1,
+    # and spans (n - 1)*(K - 1) + 1 sums per axis.
+    place = side ** np.arange(d - 1, -1, -1)
+    width = (n - 1) * (K - 1) + 1
+    box = np.indices((width,) * d).reshape(d, -1).T @ place
+    corner = (cells - 1) @ place
+    g = np.arange(len(cells))
+    codes = (corner[:, None] + box[None, :]) * len(cells) + g[:, None]
+    indptr, measure, point = _incidence(codes.ravel(), problem.sizes, side**d)
 
-        # Per-axis feasible original-lattice range for this candidate.
-        ranges = [
-            (max(1, sums[l] - (n - 1) * K), min(K, sums[l] - (n - 1)))
-            for l in range(d)
-        ]
-        box_volume = math.prod(max(0, hi - lo + 1) for lo, hi in ranges)
-        srcs: list[tuple[int, int]] = []
-        for i in range(n):
-            if box_volume <= len(cells[i]):
-                for cell in itertools.product(
-                    *(range(lo, hi + 1) for lo, hi in ranges)
-                ):
-                    k = cell_to_k[i].get(cell)
-                    if k is not None:
-                        srcs.append((i, k))
-                        reach_lists[i][k].append(j)
-            else:
-                for k, cell in enumerate(cells[i]):
-                    if all(lo <= cell[l] <= hi for l, (lo, hi) in enumerate(ranges)):
-                        srcs.append((i, k))
-                        reach_lists[i][k].append(j)
-        sources.append(tuple(sorted(srcs)))
-
-    reach = tuple(
-        tuple(tuple(ks) for ks in measure_lists) for measure_lists in reach_lists
-    )
     return SupportAtlas(
-        support_points=tuple(support_points),
-        multiplicity=tuple(multiplicity),
+        support_points=tuple(map(tuple, (scaled / quant.scale).tolist())),
+        multiplicity=tuple(combination_count(s, K, n) for s in sums.tolist()),
         regime="grid",
         sizes=problem.sizes,
         combination_total=problem.combination_total(),
+        source_indptr=indptr,
+        source_measure=measure,
+        source_point=point,
         fine_grid=fine,
-        _reach=reach,
-        _sources=tuple(sources),
-        _key_to_index=key_to_index,
+        _key_to_index=dict(zip(_key_tuples(quant.keys(scaled)), range(side**d))),
         _quantizer=quant,
         _combo_to_index=None,
     )
@@ -413,13 +396,6 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     times faster than ``np.unique``, which hashes them."""
     codes = np.sort(codes)
     return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-
-
-def _groups(values: list, keys: np.ndarray, count: int) -> list[tuple]:
-    """Split ``values``, sorted by their integer ``keys``, into one tuple
-    per key 0..count-1."""
-    bounds = np.searchsorted(keys, np.arange(count + 1)).tolist()
-    return [tuple(values[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _comb_or_zero(a: int, b: int) -> int:
@@ -483,9 +459,7 @@ def hybrid_split(atlas: SupportAtlas) -> HybridSplit:
         budget = n * K ** atlas.fine_grid.dim + 1
         budgets = tuple(budget for _ in range(atlas.point_count))
     else:
-        budgets = tuple(
-            len(atlas.sources(j)) + 1 for j in range(atlas.point_count)
-        )
+        budgets = tuple((np.diff(atlas.source_indptr) + 1).tolist())
     y_points = frozenset(
         j for j in range(atlas.point_count) if atlas.multiplicity[j] > budgets[j]
     )

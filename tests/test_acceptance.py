@@ -206,9 +206,8 @@ def test_criterion_06_grid_geometry(grid_442):
     assert fast.point_count == 169
     assert exact.support_points == fast.support_points
     assert exact.multiplicity == fast.multiplicity
-    for i in range(4):
-        for k in range(16):
-            assert exact.reachable(i, k) == fast.reachable(i, k), (i, k)
+    for j in range(fast.point_count):
+        assert exact.sources(j) == fast.sources(j), j
     print("ACCEPTANCE criterion 6 PASS - exact and grid atlases identical, |S| = 169")
 
 

@@ -47,6 +47,16 @@ def small_path(tmp_path):
     )
 
 
+@pytest.fixture
+def gp552_path(tmp_path):
+    """gp(5,5,2): original and reduced have 15650 rows, a 1.96 GB dense
+    basis, which the simplex refuses as too large."""
+    path = str(tmp_path / "gp552.json")
+    argv = ["gen", "general", "-n", "5", "-p", "5", "-d", "2", "--seed", "3"]
+    assert main([*argv, "--out", path]) == 0
+    return path
+
+
 class TestSolve:
     def test_forced_general(self, forced_path, capsys):
         assert main(["solve", "--formulation", "general", forced_path]) == 0
@@ -185,14 +195,11 @@ class TestSolve:
         assert main(["solve", "--formulation", "general", "--cap", "2", small_path]) == 3
         assert "combination blowup" in capsys.readouterr().err
 
-    def test_too_large_basis_exit_code(self, tmp_path, capsys):
-        # original and reduced have 15650 rows here: a 1.96 GB dense basis,
-        # which used to end in a MemoryError traceback or an out-of-memory kill
-        path = str(tmp_path / "gp552.json")
-        argv = ["gen", "general", "-n", "5", "-p", "5", "-d", "2", "--seed", "3"]
-        assert main([*argv, "--out", path]) == 0
+    def test_too_large_basis_exit_code(self, gp552_path, capsys):
+        # the dense basis used to end in a MemoryError traceback or an
+        # out-of-memory kill
         start = time.perf_counter()
-        assert main(["solve", path]) == 4
+        assert main(["solve", gp552_path]) == 4
         assert time.perf_counter() - start < 10.0
         out = capsys.readouterr().out
         statuses = [line.split(": ")[1] for line in out.splitlines() if "status:" in line]
@@ -325,6 +332,23 @@ class TestCompare:
             if parts and parts[0] in ("original", "reduced", "general", "hybrid"):
                 cols[parts[0]] = int(parts[2])
         assert cols["hybrid"] < min(cols["reduced"], cols["general"], cols["original"])
+
+
+    def test_unsolved_formulation_keeps_the_other_rows(self, gp552_path, capsys):
+        capsys.readouterr()
+        assert main(["compare", gp552_path]) == 4
+        out = capsys.readouterr().out
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in out.splitlines()
+            if line.split() and line.split()[0] in ("original", "reduced", "general", "hybrid")
+        }
+        assert list(rows) == ["original", "reduced", "general", "hybrid"]
+        assert rows["original"] == ["15650", "81250", "171875", "too-large"]
+        assert rows["reduced"][0] == "15650" and rows["reduced"][-1] == "too-large"
+        assert rows["general"] == rows["hybrid"]
+        # the spread covers only the two formulations that solved
+        assert "objective agreement: OK" in out
 
 
 class TestExport:

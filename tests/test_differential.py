@@ -3,20 +3,26 @@
 Problems are drawn at random and kept small, with the degenerate shapes the
 formulations disagree on most easily: lattice points whose combinations
 share a weighted mean (under uniform and under random weights), collinear
-supports, one-point measures and d = 3.
+supports, one-point measures and d = 3.  Lattice draws with uniform
+weights build the three atlas formulations on the grid atlas as well, when
+the refined grid is small enough for the dense simplex.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barylp.cli import detect_grid
 from barylp.models import build_general, build_hybrid, build_original, build_reduced
 from barylp.solver import extract_barycenter, solve
-from barylp.support import build_atlas_exact, hybrid_split
+from barylp.support import build_atlas_exact, build_atlas_grid, hybrid_split
 
 from conftest import measure, problem
 
 OBJECTIVE_TOL = 1e-8
+# Lattice draws refine to up to ~5e4 candidates; past a few hundred the
+# dense simplex takes seconds per grid-atlas model.
+GRID_CANDIDATE_LIMIT = 200
 
 
 @st.composite
@@ -65,16 +71,22 @@ def test_formulations_agree_with_general(p):
     assert reference.status == "optimal"
     assert_all_checks_pass(extract_barycenter(reference, general, p))
 
-    atlas = build_atlas_exact(p)
-    models = (
-        build_original(atlas, p),
-        build_reduced(atlas, p),
-        build_hybrid(atlas, hybrid_split(atlas), p),
-    )
-    for model in models:
-        solution = solve(model)
-        assert solution.status == "optimal", model.formulation
-        assert solution.objective_value == pytest.approx(
-            reference.objective_value, abs=OBJECTIVE_TOL
-        ), model.formulation
-        assert_all_checks_pass(extract_barycenter(solution, model, p, atlas=atlas))
+    atlases = [build_atlas_exact(p)]
+    spec = detect_grid(p)
+    if spec is not None and p.has_uniform_weights():
+        if (p.n * (spec.side - 1) + 1) ** spec.dim <= GRID_CANDIDATE_LIMIT:
+            atlases.append(build_atlas_grid(p, spec))
+    for atlas in atlases:
+        models = (
+            build_original(atlas, p),
+            build_reduced(atlas, p),
+            build_hybrid(atlas, hybrid_split(atlas), p),
+        )
+        for model in models:
+            label = (atlas.regime, model.formulation)
+            solution = solve(model)
+            assert solution.status == "optimal", label
+            assert solution.objective_value == pytest.approx(
+                reference.objective_value, abs=OBJECTIVE_TOL
+            ), label
+            assert_all_checks_pass(extract_barycenter(solution, model, p, atlas=atlas))

@@ -46,6 +46,24 @@ def plain_means(p):
     return out
 
 
+def range_rule_sources(p):
+    """Grid incidence by the per-axis range rule, one candidate at a time:
+    point k of measure i can take part in the candidate with per-axis
+    index sums s only if every axis leaves a remainder s_l - c_l that n-1
+    lattice values can make up."""
+    n, K, d = p.n, p.grid.side, p.grid.dim
+    out = []
+    for sums in itertools.product(range(n, n * K + 1), repeat=d):
+        ranges = [(max(1, s - (n - 1) * K), min(K, s - (n - 1))) for s in sums]
+        out.append(tuple(
+            (i, k)
+            for i, m in enumerate(p.measures)
+            for k, point in enumerate(m.points)
+            if all(lo <= c <= hi for c, (lo, hi) in zip(p.grid.cell(point), ranges))
+        ))
+    return out
+
+
 def nearest_candidate(atlas, point):
     return min(
         range(atlas.point_count),
@@ -157,23 +175,22 @@ class TestExactAtlas:
             assert sum(atlas.multiplicity) == atlas.combination_total
 
     def test_duality_exhaustive(self):
-        cases = [
-            build_atlas_exact(generators.general_position(3, 3, 2, seed=1)),
-            build_atlas_exact(generators.grid(3, 3, 1, seed=2)),
-            build_atlas_exact(generators.grid(2, 3, 2, seed=4)),
-            build_atlas_exact(generators.grid(3, 3, 2, seed=6)),   # |S*| = 729
-            build_atlas_exact(generators.mixed(3, 3, 1, seed=8)),  # |S*| = 1000
-            build_atlas_grid(generators.grid(3, 3, 2, seed=6)),
-            build_atlas_grid(generators.grid(2, 4, 2, density=0.5, seed=9)),
-        ]
-        for atlas in cases:
-            for i, size in enumerate(atlas.sizes):
-                for k in range(size):
-                    for j in atlas.reachable(i, k):
-                        assert (i, k) in atlas.sources(j)
+        # sources(j) is exactly the set of (i, k) used by some combination
+        # whose plain-Python mean lands on candidate j
+        for p in (
+            generators.general_position(3, 3, 2, seed=1),
+            generators.grid(3, 3, 1, seed=2),
+            generators.grid(2, 3, 2, seed=4),
+            generators.grid(3, 3, 2, seed=6),   # |S*| = 729
+            generators.mixed(3, 3, 1, seed=8),  # |S*| = 1000
+        ):
+            atlas = build_atlas_exact(p)
+            used = [set() for _ in range(atlas.point_count)]
+            combos = itertools.product(*(range(len(m)) for m in p.measures))
+            for picks, mean in zip(combos, plain_means(p)):
+                used[nearest_candidate(atlas, mean)].update(enumerate(picks))
             for j in range(atlas.point_count):
-                for i, k in atlas.sources(j):
-                    assert j in atlas.reachable(i, k)
+                assert atlas.sources(j) == tuple(sorted(used[j])), j
 
     def test_points_sorted_lexicographically(self):
         p = generators.general_position(2, 4, 2, seed=9)
@@ -241,9 +258,8 @@ class TestGridAtlas:
         exact = build_atlas_exact(p)
         fast = build_atlas_grid(p)
         assert exact.support_points == fast.support_points
-        for i, size in enumerate(fast.sizes):
-            for k in range(size):
-                assert fast.reachable(i, k) == exact.reachable(i, k)
+        for j in range(fast.point_count):
+            assert fast.sources(j) == exact.sources(j), j
 
     def test_agrees_with_exact_on_full_grids(self):
         for n, K, d in [(2, 2, 1), (2, 4, 1), (3, 3, 1), (2, 3, 2), (3, 2, 2), (4, 2, 2), (3, 3, 2)]:
@@ -252,9 +268,23 @@ class TestGridAtlas:
             fast = build_atlas_grid(p)
             assert fast.support_points == exact.support_points, (n, K, d)
             assert fast.multiplicity == exact.multiplicity, (n, K, d)
-            for i in range(n):
-                for k in range(len(p.measures[i])):
-                    assert fast.reachable(i, k) == exact.reachable(i, k), (n, K, d)
+            for j in range(fast.point_count):
+                assert fast.sources(j) == exact.sources(j), (n, K, d, j)
+
+    @pytest.mark.parametrize("n, K, d, density", [
+        (3, 5, 1, 0.4), (4, 4, 1, 0.6),
+        (2, 4, 2, 0.5), (3, 3, 2, 0.6),
+        (2, 3, 3, 0.5), (3, 2, 3, 0.6),
+    ])
+    def test_sparse_incidence_matches_range_rule(self, n, K, d, density):
+        for seed in range(3):
+            p = generators.grid(n, K, d, density=density, seed=seed)
+            fast = build_atlas_grid(p)
+            assert [fast.sources(j) for j in range(fast.point_count)] == range_rule_sources(p)
+            # the rule is conservative: it keeps every pair the exact atlas uses
+            exact = build_atlas_exact(p)
+            for j, point in enumerate(exact.support_points):
+                assert set(exact.sources(j)) <= set(fast.sources(fast.candidate_index(point)))
 
     def test_rejects_nonuniform_weights(self):
         p = generators.grid(2, 2, 1, seed=0)
