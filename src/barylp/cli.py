@@ -146,7 +146,7 @@ def _lattice(problem: Problem, config: RunConfig) -> GridSpec | None:
             print("note: no common lattice detected, using exact regime", file=sys.stderr)
         return None
     if regime == "grid":
-        spec = problem.grid or detect_grid(problem)
+        spec = detect_grid(problem)
         if spec is None:
             raise CliError(EXIT_INPUT, "grid regime requires grid metadata or a detectable lattice")
         return spec
@@ -352,10 +352,7 @@ def _reduction_line(src: str, dst: str, n: int, p: int | None) -> str:
 def cmd_export(args) -> int:
     config = _config_from(args)
     problem = _load(config, args.input)
-    if args.formulation == "all":
-        names = FORMULATIONS
-    else:
-        names = _select_formulations(args.formulation, problem)
+    names = _select_formulations(args.formulation, problem)
     _, atlas = _resolve_atlas(problem, config, names)
     prefix = config.out or "model"
     for name in names:

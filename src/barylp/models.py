@@ -189,7 +189,7 @@ def _mass_transport(
     # Squares summed axis by axis from zero, as the scalar expression
     # lam * sum((a - b) ** 2 ...) does; float_power rounds like ``** 2``.
     points = np.concatenate([np.asarray(m.points, dtype=np.float64) for m in problem.measures])
-    diff = np.asarray(atlas.support_points)[yj] - points[offsets[yi] + yk]
+    diff = atlas.support_points[yj] - points[offsets[yi] + yk]
     sq = np.zeros(len(keep))
     for column in diff.T:
         sq += np.float_power(column, 2.0)

@@ -35,7 +35,7 @@ from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork, dgetrs
 
 from .measures import Problem
 from .models import LpModel
-from .support import SupportAtlas, _key_tuples, _Quantizer, combination_chunks
+from .support import SupportAtlas, _Quantizer, combination_chunks
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
@@ -521,15 +521,14 @@ def extract_barycenter(
     model: LpModel,
     problem: Problem,
     atlas: SupportAtlas | None = None,
-    drop_threshold: float = DROP_THRESHOLD,
 ) -> BarycenterSolution:
     """Read a barycenter measure out of an optimal LP solution.
 
     Mass on fixed-transport variables is credited to the combination's
     weighted mean (merged under the atlas dedup rule when an atlas is
-    supplied) and routed to each constituent point.  Dust below the drop
-    threshold is discarded and the remainder rescaled; the discarded total
-    is recorded in the verification report.
+    supplied) and routed to each constituent point.  Dust below
+    ``DROP_THRESHOLD`` is discarded and the remainder rescaled; the
+    discarded total is recorded in the verification report.
     """
     if solution.status != "optimal":
         raise ExtractionError(f"cannot extract from status {solution.status!r}")
@@ -537,9 +536,9 @@ def extract_barycenter(
         raise ExtractionError("solution does not match model metadata")
 
     quant = atlas._quantizer if atlas is not None else _Quantizer(problem)
-    point_by_key: dict[tuple[int, ...], tuple[float, ...]] = {}
-    mass_by_key: dict[tuple[int, ...], float] = {}
-    flow: dict[tuple[int, tuple[int, ...], int], float] = {}
+    point_by_key: dict[tuple[float, ...], tuple[float, ...]] = {}
+    mass_by_key: dict[tuple[float, ...], float] = {}
+    flow: dict[tuple[int, tuple[float, ...], int], float] = {}
 
     def credit(key, point, mass):
         point_by_key.setdefault(key, point)
@@ -548,13 +547,14 @@ def extract_barycenter(
     values = np.asarray(solution.values, dtype=np.float64)
     metas = model.var_meta
     dropped = 0.0
-    for col in np.flatnonzero((values > 0.0) & (values <= drop_threshold)).tolist():
+    for col in np.flatnonzero((values > 0.0) & (values <= DROP_THRESHOLD)).tolist():
         if metas[col][0] != "y":
             dropped += float(values[col])
-    kept = np.flatnonzero(values > drop_threshold).tolist()
+    kept = np.flatnonzero(values > DROP_THRESHOLD).tolist()
 
-    # Means of the kept fixed-transport combinations, in scaled coordinates
-    # so they merge with atlas points under the same key.
+    # Means of the kept fixed-transport combinations, and the candidates
+    # the kept mass ("z", j) and transport ("y", i, j, k) variables name,
+    # in scaled coordinates so both merge under the same key.
     w_cols = [col for col in kept if metas[col][0] == "w"]
     ordinals = np.array([metas[col][1] for col in w_cols], dtype=np.int64)
     # the model already holds these columns, so the cap is moot
@@ -562,30 +562,39 @@ def extract_barycenter(
         problem, quant.scaled_weights, ordinals, cap=problem.combination_total()
     )
     idx, scaled = (np.concatenate(parts) for parts in zip(*chunks))
-    w_row = {col: r for r, col in enumerate(w_cols)}
-    w_keys = list(_key_tuples(quant.keys(scaled)))
-    w_points = list(map(tuple, (scaled / quant.scale).tolist()))
-    w_indices = idx.tolist()
+    combos = zip(
+        map(tuple, quant.keys(scaled).tolist()),
+        map(tuple, (scaled / quant.scale).tolist()),
+        idx.tolist(),
+    )
+    js = [
+        meta[1] if meta[0] == "z" else meta[2]
+        for meta in map(metas.__getitem__, kept)
+        if meta[0] in ("z", "y")
+    ]
+    if js and atlas is None:
+        raise ExtractionError("mass variables need the atlas for points")
+    points = atlas.support_points[js] if js else np.empty((0, problem.dimension))
+    candidates = zip(
+        map(tuple, quant.keys(points * quant.scale).tolist()),
+        map(tuple, points.tolist()),
+    )
 
     for col in kept:
         meta = metas[col]
         value = float(values[col])
         kind = meta[0]
         if kind == "z":
-            if atlas is None:
-                raise ExtractionError("mass variables need the atlas for points")
-            point = atlas.support_points[meta[1]]
-            credit(quant.key_of_point(point), point, value)
+            credit(*next(candidates), value)
         elif kind == "w":
-            r = w_row[col]
-            key = w_keys[r]
-            credit(key, w_points[r], value)
-            for i, k in enumerate(w_indices[r]):
+            key, point, indices = next(combos)
+            credit(key, point, value)
+            for i, k in enumerate(indices):
                 flow[(i, key, k)] = flow.get((i, key, k), 0.0) + value
         elif kind == "y":
             # transport variables reference atlas points directly
-            _, i, j, k = meta
-            key = quant.key_of_point(atlas.support_points[j])
+            _, i, _, k = meta
+            key, _ = next(candidates)
             flow[(i, key, k)] = flow.get((i, key, k), 0.0) + value
         else:
             raise ExtractionError(f"unknown variable tag {meta!r}")

@@ -3,12 +3,13 @@
 Every barycenter is supported on weighted means of one support point per
 measure.  This module holds the one kernel that decodes such combinations
 and computes their means (``combination_chunks``), deduplicates the means
-into a candidate point set (the "atlas") together with its incidence: for
-each candidate, the (measure, point) pairs some combination reaching it
-uses, stored once as CSR arrays.  It also counts how many combinations
-collapse onto each candidate, and splits candidates between
-fixed-transport and mass/transport variable representations for the
-hybrid model.
+into a candidate point set (the "atlas"): one row-sorted ``(N, d)`` array
+of points, where a candidate is named by its row index.  Alongside it
+the atlas stores the incidence: for each candidate, the (measure, point)
+pairs some combination reaching it uses, stored once as CSR arrays.  It
+also counts how many combinations collapse onto each candidate, and
+splits candidates between fixed-transport and mass/transport variable
+representations for the hybrid model.
 
 Two construction regimes exist: ``exact`` walks every combination and
 deduplicates (smallest possible models, exponential effort), ``grid``
@@ -104,7 +105,6 @@ class _Quantizer:
     """
 
     def __init__(self, problem: Problem, dedup_tol: float = DEFAULT_DEDUP_TOL):
-        self.dedup_tol = float(dedup_tol)
         fracs = [Fraction(w).limit_denominator(_RATIONALIZE_DENOM_CAP) for w in problem.weights]
         exact = all(abs(float(f) - w) <= 1e-12 for f, w in zip(fracs, problem.weights))
         denom = math.lcm(*(f.denominator for f in fracs)) if exact else 0
@@ -129,33 +129,21 @@ class _Quantizer:
                 for sw, m in zip(self.scaled_weights, problem.measures)
             )
             span = max(span, hi - lo)
-        self.quantum = self.dedup_tol * span if span > 0.0 else 1.0
-
-    def key(self, scaled_point: Sequence[float]) -> tuple[int, ...]:
-        q = self.quantum
-        return tuple(int(round(c / q)) for c in scaled_point)
+        self.quantum = float(dedup_tol) * span if span > 0.0 else 1.0
 
     def keys(self, scaled_points: np.ndarray) -> np.ndarray:
-        """Row-wise ``key`` as integral floats: ``np.rint`` rounds half to
-        even like ``round``, and adding zero folds -0.0 into 0.0."""
-        return np.rint(scaled_points / self.quantum) + 0.0
-
-    def key_of_point(self, point: Sequence[float]) -> tuple[int, ...]:
-        s = self.scale
-        return self.key([c * s for c in point])
-
-
-def _key_tuples(keys: np.ndarray) -> Iterator[tuple[int, ...]]:
-    """Rows of ``_Quantizer.keys`` as the tuples ``_Quantizer.key`` gives
-    (Python ints, exact at any magnitude)."""
-    return zip(*(map(int, column) for column in keys.T.tolist()))
+        """Bucket key of every row of scaled points: each coordinate in
+        quanta, rounded half to even by ``np.rint``.  Two points merge
+        when their key rows are equal (-0.0 equals 0.0)."""
+        return np.rint(scaled_points / self.quantum)
 
 
 @dataclass(frozen=True)
 class SupportAtlas:
     """Candidate support points with their incidence structure.
 
-    ``support_points`` are sorted lexicographically by coordinate.  The
+    ``support_points`` is one ``(N, d)`` float64 array whose rows are
+    sorted lexicographically by coordinate; candidate j is row j.  The
     incidence is stored once, in CSR form over candidates: entries
     ``source_indptr[j]:source_indptr[j + 1]`` of ``source_measure`` and
     ``source_point`` are the (measure i, point k) pairs that can contribute
@@ -169,7 +157,7 @@ class SupportAtlas:
     returns it in both regimes.
     """
 
-    support_points: tuple[tuple[float, ...], ...]
+    support_points: np.ndarray = field(repr=False)
     multiplicity: tuple[int, ...]
     regime: str
     sizes: tuple[int, ...]
@@ -178,7 +166,6 @@ class SupportAtlas:
     source_measure: np.ndarray = field(repr=False)
     source_point: np.ndarray = field(repr=False)
     fine_grid: GridSpec | None = None
-    _key_to_index: dict = field(repr=False, default_factory=dict)
     _quantizer: _Quantizer | None = field(repr=False, default=None)
     _combo_to_index: np.ndarray | None = field(repr=False, default=None)
 
@@ -191,31 +178,26 @@ class SupportAtlas:
         a, b = self.source_indptr[j], self.source_indptr[j + 1]
         return tuple(zip(self.source_measure[a:b].tolist(), self.source_point[a:b].tolist()))
 
-    def candidate_index(self, point: Sequence[float]) -> int:
-        """Index of a generated candidate point (KeyError if not generated)."""
-        return self._key_to_index[self._quantizer.key_of_point(point)]
-
     def combination_candidates(
         self, problem: Problem, cap: int = DEFAULT_COMBINATION_CAP
     ) -> np.ndarray:
         """Candidate index of every combination's weighted mean, by ordinal.
 
-        The exact regime stores this map.  The grid regime looks each
-        combination's key up among the lattice candidates, refusing when
-        the problem has more than ``cap`` combinations.
+        The exact regime stores this map.  On grids every mean lies on the
+        refined lattice, so its per-axis offset from the origin in steps is
+        an integer digit, and the candidate is those digits read in base
+        ``side``, the first axis most significant, as ``build_atlas_grid``
+        numbers them; rounding leaves a margin of half a step.  Refuses
+        when the problem has more than ``cap`` combinations.
         """
         if self._combo_to_index is not None:
             return self._combo_to_index
-        quant = self._quantizer
-        out = []
-        for _, scaled in combination_chunks(problem, quant.scaled_weights, cap=cap):
-            keys, _, inverse = _unique_rows(quant.keys(scaled))
-            index = np.array(
-                [self._key_to_index[key] for key in _key_tuples(keys)],
-                dtype=np.int64,
-            )
-            out.append(index[inverse])
-        return np.concatenate(out)
+        fine = self.fine_grid
+        place = fine.side ** np.arange(fine.dim - 1, -1, -1)
+        return np.concatenate([
+            np.rint((means - fine.origin) / fine.step).astype(np.int64) @ place
+            for _, means in combination_chunks(problem, problem.weights, cap=cap)
+        ])
 
 
 def _incidence(
@@ -268,7 +250,7 @@ def build_atlas_exact(
         offset += u
 
     # Across chunks the earliest chunk holding a key supplies its mean.
-    keys, first, inverse = _unique_rows(np.concatenate(chunk_keys))
+    _, first, inverse = _unique_rows(np.concatenate(chunk_keys))
     scaled_points = np.concatenate(chunk_means)[first]
 
     # Canonical indexing: sort candidates lexicographically by coordinate.
@@ -290,7 +272,7 @@ def build_atlas_exact(
     indptr, measure, point = _incidence(np.concatenate(codes), problem.sizes, npts)
 
     return SupportAtlas(
-        support_points=tuple(map(tuple, (scaled_points[order] / quant.scale).tolist())),
+        support_points=scaled_points[order] / quant.scale,
         multiplicity=tuple(np.bincount(combo_to_index, minlength=npts).tolist()),
         regime="exact",
         sizes=problem.sizes,
@@ -299,7 +281,6 @@ def build_atlas_exact(
         source_measure=measure,
         source_point=point,
         fine_grid=None,
-        _key_to_index=dict(zip(_key_tuples(keys), relabel.tolist())),
         _quantizer=quant,
         _combo_to_index=combo_to_index,
     )
@@ -362,7 +343,7 @@ def build_atlas_grid(problem: Problem, grid: GridSpec | None = None) -> SupportA
     indptr, measure, point = _incidence(codes.ravel(), problem.sizes, side**d)
 
     return SupportAtlas(
-        support_points=tuple(map(tuple, (scaled / quant.scale).tolist())),
+        support_points=scaled / quant.scale,
         multiplicity=tuple(combination_count(s, K, n) for s in sums.tolist()),
         regime="grid",
         sizes=problem.sizes,
@@ -371,7 +352,6 @@ def build_atlas_grid(problem: Problem, grid: GridSpec | None = None) -> SupportA
         source_measure=measure,
         source_point=point,
         fine_grid=fine,
-        _key_to_index=dict(zip(_key_tuples(quant.keys(scaled)), range(side**d))),
         _quantizer=quant,
         _combo_to_index=None,
     )

@@ -204,7 +204,7 @@ def test_criterion_06_grid_geometry(grid_442):
     fast = grid_442["grid"]
     assert exact.point_count == 169
     assert fast.point_count == 169
-    assert exact.support_points == fast.support_points
+    assert np.array_equal(exact.support_points, fast.support_points)
     assert exact.multiplicity == fast.multiplicity
     for j in range(fast.point_count):
         assert exact.sources(j) == fast.sources(j), j

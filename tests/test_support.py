@@ -65,10 +65,9 @@ def range_rule_sources(p):
 
 
 def nearest_candidate(atlas, point):
-    return min(
-        range(atlas.point_count),
-        key=lambda j: math.dist(atlas.support_points[j], point),
-    )
+    """Row of the candidate closest to ``point`` (the first on ties)."""
+    gaps = atlas.support_points - np.asarray(point, dtype=np.float64)
+    return int(np.argmin((gaps * gaps).sum(axis=1)))
 
 
 class TestEnumeration:
@@ -153,7 +152,7 @@ class TestWeightedMean:
 class TestExactAtlas:
     def test_canonical_collapse(self, twin_grid_problem):
         atlas = build_atlas_exact(twin_grid_problem)
-        assert atlas.support_points == ((0.0,), (1.0,), (2.0,))
+        assert np.array_equal(atlas.support_points, [[0.0], [1.0], [2.0]])
         assert atlas.multiplicity == (1, 2, 1)
         assert atlas.combination_total == 4
 
@@ -195,18 +194,14 @@ class TestExactAtlas:
     def test_points_sorted_lexicographically(self):
         p = generators.general_position(2, 4, 2, seed=9)
         atlas = build_atlas_exact(p)
-        assert list(atlas.support_points) == sorted(atlas.support_points)
+        order = np.lexsort(atlas.support_points.T[::-1])
+        assert np.array_equal(order, np.arange(atlas.point_count))
 
     def test_cap_guard(self):
         pts = [[float(v)] for v in range(10)]
         p = problem([measure(pts)] * 3)
         with pytest.raises(CombinationBlowupError):
             build_atlas_exact(p, cap=10)
-
-    def test_candidate_index_lookup(self, twin_grid_problem):
-        atlas = build_atlas_exact(twin_grid_problem)
-        for j, pt in enumerate(atlas.support_points):
-            assert atlas.candidate_index(pt) == j
 
     def test_combo_candidate_matches_mean(self):
         # every fixed-transport column of the hybrid model is a combination
@@ -238,7 +233,7 @@ class TestGridAtlas:
     def test_corner_sources_one_per_measure(self):
         p = generators.grid(4, 4, 2, seed=0)
         atlas = build_atlas_grid(p)
-        corner = atlas.candidate_index((0.0, 0.0))
+        corner = nearest_candidate(atlas, (0.0, 0.0))
         srcs = atlas.sources(corner)
         assert len(srcs) == 4
         assert sorted(i for i, _ in srcs) == [0, 1, 2, 3]
@@ -249,7 +244,7 @@ class TestGridAtlas:
         # per-axis sum 10 admits every lattice value on every axis
         p = generators.grid(4, 4, 2, seed=0)
         atlas = build_atlas_grid(p)
-        center = atlas.candidate_index((10.0 / 4.0 - 1.0, 10.0 / 4.0 - 1.0))
+        center = nearest_candidate(atlas, (10.0 / 4.0 - 1.0, 10.0 / 4.0 - 1.0))
         assert len(atlas.sources(center)) == 4 * 16
 
     def test_budget_rule_matches_brute_force(self):
@@ -257,7 +252,7 @@ class TestGridAtlas:
         p = generators.grid(3, 3, 1, seed=1)
         exact = build_atlas_exact(p)
         fast = build_atlas_grid(p)
-        assert exact.support_points == fast.support_points
+        assert np.array_equal(exact.support_points, fast.support_points)
         for j in range(fast.point_count):
             assert fast.sources(j) == exact.sources(j), j
 
@@ -266,7 +261,7 @@ class TestGridAtlas:
             p = generators.grid(n, K, d, seed=n + K + d)
             exact = build_atlas_exact(p)
             fast = build_atlas_grid(p)
-            assert fast.support_points == exact.support_points, (n, K, d)
+            assert np.array_equal(fast.support_points, exact.support_points), (n, K, d)
             assert fast.multiplicity == exact.multiplicity, (n, K, d)
             for j in range(fast.point_count):
                 assert fast.sources(j) == exact.sources(j), (n, K, d, j)
@@ -284,7 +279,7 @@ class TestGridAtlas:
             # the rule is conservative: it keeps every pair the exact atlas uses
             exact = build_atlas_exact(p)
             for j, point in enumerate(exact.support_points):
-                assert set(exact.sources(j)) <= set(fast.sources(fast.candidate_index(point)))
+                assert set(exact.sources(j)) <= set(fast.sources(nearest_candidate(fast, point)))
 
     def test_rejects_nonuniform_weights(self):
         p = generators.grid(2, 2, 1, seed=0)
@@ -294,8 +289,9 @@ class TestGridAtlas:
 
     def test_nearly_uniform_weights_stay_consistent(self):
         # weights a hair off 1/n either rationalize back to exactly 1/n
-        # (atlas keys stay consistent) or are refused outright; they must
-        # never silently mis-key the lattice
+        # (every combination still lands on the candidate nearest its
+        # mean) or are refused outright; they must never silently put a
+        # combination on the wrong lattice candidate
         from barylp.support import _Quantizer
 
         p = generators.grid(3, 2, 1, seed=0)
@@ -306,8 +302,9 @@ class TestGridAtlas:
         quant = _Quantizer(perturbed)
         if quant.scale == 3.0 and set(quant.scaled_weights) == {1.0}:
             atlas = build_atlas_grid(perturbed)
-            for j, pt in enumerate(atlas.support_points):
-                assert atlas.candidate_index(pt) == j
+            candidates = atlas.combination_candidates(perturbed)
+            for h, mean in enumerate(plain_means(perturbed)):
+                assert candidates[h] == nearest_candidate(atlas, mean), h
         else:
             with pytest.raises(GridRegimeError, match="uniform"):
                 build_atlas_grid(perturbed)
@@ -405,7 +402,7 @@ class TestHybridSplit:
         p = generators.grid(4, 4, 2, seed=0)
         atlas = build_atlas_grid(p)
         split = hybrid_split(atlas)
-        center = atlas.candidate_index((1.5, 1.5))
+        center = nearest_candidate(atlas, (1.5, 1.5))
         assert atlas.multiplicity[center] == 1936
         assert split.budgets[center] == 4 * 16 + 1
         assert center in split.y_points
@@ -414,17 +411,23 @@ class TestHybridSplit:
         p = generators.grid(4, 4, 2, seed=0)
         atlas = build_atlas_grid(p)
         split = hybrid_split(atlas)
-        corner = atlas.candidate_index((0.0, 0.0))
+        corner = nearest_candidate(atlas, (0.0, 0.0))
         assert corner not in split.y_points
 
-    def test_partition_covers_each_combination_once(self):
-        p = generators.grid(3, 3, 1, seed=7)
+    @pytest.mark.parametrize("n, K, d, density", [
+        (3, 3, 1, 1.0), (2, 3, 2, 1.0), (2, 2, 3, 1.0),
+        (3, 4, 1, 0.5), (2, 4, 2, 0.5), (2, 3, 3, 0.5),
+    ])
+    def test_partition_covers_each_combination_once(self, n, K, d, density):
+        p = generators.grid(n, K, d, density=density, seed=7)
         means = plain_means(p)
         for atlas in (build_atlas_exact(p), build_atlas_grid(p)):
+            candidates = atlas.combination_candidates(p)
             split = hybrid_split(atlas)
             model = build_hybrid(atlas, split, p)
             w = [meta[1] for meta in model.var_meta if meta[0] == "w"]
             assert len(w) == len(set(w))
             for h, mean in enumerate(means):
                 j = nearest_candidate(atlas, mean)
+                assert candidates[h] == j, (atlas.regime, h)
                 assert (h in w) == (j not in split.y_points), (atlas.regime, h)
