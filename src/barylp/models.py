@@ -13,18 +13,19 @@ Four interchangeable models of the same optimization problem:
 - ``hybrid``: per-candidate mix of the reduced and general strategies.
 
 All models are pure equality-constrained LPs over nonnegative variables.
-Variables are ordered z-block, then y-block by (i, j, k), then w-block by
-combination ordinal, so builds are deterministic.  The z- and y-blocks and
-the balance rows come from one builder shared by ``original``, ``reduced``
-and ``hybrid``, which reads the y-columns off the atlas's CSR incidence
-arrays (every point for ``original``) and computes their entries and costs
-as whole arrays; the w-block of ``general`` and ``hybrid`` is computed by
-the combination kernel of :mod:`barylp.support` and assembled column-wise.
+Columns are ordered z-block, then y-block by (i, j, k), then w-block by
+combination ordinal, and rows balance-block, then marginal-block, each
+block named by one int64 index array, so builds are deterministic.  The z-
+and y-blocks and the balance rows come from one builder shared by
+``original``, ``reduced`` and ``hybrid``, which reads the y-columns off the
+atlas's CSR incidence arrays (every point for ``original``) and computes
+their entries, costs and names as whole arrays; the w-block of ``general``
+and ``hybrid`` is computed by the combination kernel of
+:mod:`barylp.support` and assembled column-wise.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,18 +49,25 @@ class FormulationError(ValueError):
 class LpModel:
     """Equality-constrained LP  min c.x  s.t.  A x = b, x >= 0.
 
-    ``var_meta[c]`` tags column c with its role: ``("z", j)`` candidate
-    mass, ``("y", i, j, k)`` transport from candidate j to point k of
-    measure i, ``("w", h)`` fixed transport of combination h.  ``row_meta``
-    tags rows ``("balance", i, j)`` or ``("marginal", i, k)``.
+    The columns are three blocks in order, each named by an int64 array
+    with one entry (or row) per column: ``z[c]`` is the candidate j of the
+    c-th mass column, ``y[c]`` the (i, j, k) of the c-th transport column
+    (candidate j to point k of measure i), and ``w[c]`` the combination
+    ordinal h of the c-th fixed-transport column; so model column
+    ``len(z) + c`` is ``y[c]``.  The rows are two blocks: ``balance`` holds
+    the (i, j) of each balance row, then ``marginal`` the (i, k) of each
+    marginal row.
     """
 
     formulation: str
     objective: np.ndarray
     constraints: sp.csr_matrix
     rhs: np.ndarray
-    var_meta: tuple
-    row_meta: tuple
+    z: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    balance: np.ndarray
+    marginal: np.ndarray
 
     @property
     def num_vars(self) -> int:
@@ -75,11 +83,11 @@ class LpModel:
 
     def check(self) -> None:
         """Raise if a structural model invariant is broken."""
-        if len(self.var_meta) != self.num_vars:
-            raise AssertionError("var_meta is not a bijection onto columns")
-        if len(self.row_meta) != self.num_constraints:
-            raise AssertionError("row_meta is not a bijection onto rows")
-        if len(set(self.var_meta)) != self.num_vars:
+        if len(self.z) + len(self.y) + len(self.w) != self.num_vars:
+            raise AssertionError("column blocks are not a bijection onto columns")
+        if len(self.balance) + len(self.marginal) != self.num_constraints:
+            raise AssertionError("row blocks are not a bijection onto rows")
+        if any(len(np.unique(ids, axis=0)) != len(ids) for ids in (self.z, self.y, self.w)):
             raise AssertionError("duplicate variable identity")
         if not np.all(np.isfinite(self.rhs)):
             raise AssertionError("non-finite rhs")
@@ -88,35 +96,35 @@ class LpModel:
         row_counts = np.diff(self.constraints.indptr)
         if np.any(row_counts == 0):
             raise AssertionError("empty constraint row")
-        for meta, b in zip(self.row_meta, self.rhs.tolist()):
-            if meta[0] == "marginal" and not 0.0 < b <= 1.0:
+        for b in self.rhs[len(self.balance):].tolist():
+            if not 0.0 < b <= 1.0:
                 raise AssertionError(f"marginal rhs {b} outside (0, 1]")
 
 
 class _Assembler:
     """Accumulates rows and blocks of columns, then freezes a model.  All
     columns of a block hold equally many entries, each equal to the
-    block's one value."""
+    block's one value.  The builders set the identity arrays of the
+    blocks their model has; the others stay empty."""
 
     def __init__(self, formulation: str):
         self.formulation = formulation
-        self.var_meta: list = []
-        self.row_meta: list = []
         self.rhs: list[float] = []
         self._costs: list[np.ndarray] = []
         self._blocks: list[tuple[np.ndarray, float]] = []
+        self.z = self.w = np.empty(0, dtype=np.int64)
+        self.y = np.empty((0, 3), dtype=np.int64)
+        self.balance = self.marginal = np.empty((0, 2), dtype=np.int64)
 
-    def add_rows(self, metas: list, rhs: Sequence[float]) -> int:
+    def add_rows(self, rhs: Sequence[float]) -> int:
         """Append rows; returns the index of the first."""
-        first = len(self.row_meta)
-        self.row_meta.extend(metas)
+        first = len(self.rhs)
         self.rhs.extend(rhs)
         return first
 
-    def add_columns(self, metas: list, costs: np.ndarray, rows: np.ndarray, val: float) -> None:
-        """Append one column per meta; column c holds ``val`` in each of
+    def add_columns(self, costs: np.ndarray, rows: np.ndarray, val: float) -> None:
+        """Append one column per cost; column c holds ``val`` in each of
         the rows ``rows[c]``."""
-        self.var_meta.extend(metas)
         self._costs.append(costs)
         self._blocks.append((rows, val))
 
@@ -133,17 +141,18 @@ class _Assembler:
             objective=np.concatenate(self._costs),
             constraints=sp.hstack(blocks, format="csr"),
             rhs=np.asarray(self.rhs, dtype=np.float64),
-            var_meta=tuple(self.var_meta),
-            row_meta=tuple(self.row_meta),
+            z=self.z, y=self.y, w=self.w,
+            balance=self.balance, marginal=self.marginal,
         )
 
 
 def _marginal_rows(asm: _Assembler, problem: Problem) -> np.ndarray:
     """Add the marginal rows; returns the first row of each measure's."""
-    return np.array([
-        asm.add_rows([("marginal", i, k) for k in range(len(m))], m.masses)
-        for i, m in enumerate(problem.measures)
-    ])
+    asm.marginal = np.column_stack((
+        np.repeat(np.arange(problem.n), problem.sizes),
+        np.concatenate([np.arange(size) for size in problem.sizes]),
+    ))
+    return np.array([asm.add_rows(m.masses) for m in problem.measures])
 
 
 def _mass_transport(
@@ -157,25 +166,35 @@ def _mass_transport(
     the marginal rows, then one y-column from each candidate j to each
     point k of each measure i: every point, or with ``pruned`` only the
     pairs (i, k) in ``atlas.sources(j)``.  Returns the first marginal row
-    of each measure."""
-    n, c = problem.n, len(candidates)
-    js = candidates.tolist()
-    # the balance row of (i, candidates[p]) is balance + i*c + p
-    balance = asm.add_rows([("balance", i, j) for i in range(n) for j in js], [0.0] * (n * c))
-    marginal = _marginal_rows(asm, problem)
-    z_rows = balance + np.arange(c)[:, None] + c * np.arange(n)
-    asm.add_columns([("z", j) for j in js], np.zeros(c), z_rows, -1.0)
+    of each measure.
 
+    With ``pruned``, candidates some measure cannot reach (only sparse grid
+    atlases have them) are left out: such a balance row would hold only
+    -z_j, forcing z_j and its transport to 0, and no combination lands there.
+    """
+    n = problem.n
     # Global point g numbers measure i's points from offsets[i].
     offsets = np.cumsum((0,) + problem.sizes)
     if pruned:
         indptr, measure, point = atlas.source_indptr, atlas.source_measure, atlas.source_point
+        reached = np.zeros((atlas.point_count, n), dtype=bool)
+        reached[np.repeat(np.arange(atlas.point_count), np.diff(indptr)), measure] = True
+        candidates = candidates[reached[candidates].all(axis=1)]
     else:
         # every candidate reaches every point
         g = np.tile(np.arange(offsets[-1]), atlas.point_count)
         measure = np.searchsorted(offsets, g, side="right") - 1
         point = g - offsets[measure]
         indptr = offsets[-1] * np.arange(atlas.point_count + 1)
+
+    c = len(candidates)
+    # the balance row of (i, candidates[p]) is balance + i*c + p
+    balance = asm.add_rows([0.0] * (n * c))
+    asm.balance = np.column_stack((np.repeat(np.arange(n), c), np.tile(candidates, n)))
+    marginal = _marginal_rows(asm, problem)
+    z_rows = balance + np.arange(c)[:, None] + c * np.arange(n)
+    asm.add_columns(np.zeros(c), z_rows, -1.0)
+    asm.z = candidates
 
     # The incidence entries of the candidates, reordered by (i, j, k).
     position = np.full(atlas.point_count, -1)
@@ -185,6 +204,7 @@ def _mass_transport(
     keep = keep[np.argsort(measure[keep], kind="stable")]
     yi, pos, yk = measure[keep], pos[keep], point[keep]
     yj = candidates[pos]
+    asm.y = np.column_stack((yi, yj, yk))
 
     # Squares summed axis by axis from zero, as the scalar expression
     # lam * sum((a - b) ** 2 ...) does; float_power rounds like ``** 2``.
@@ -194,7 +214,6 @@ def _mass_transport(
     for column in diff.T:
         sq += np.float_power(column, 2.0)
     asm.add_columns(
-        list(zip(itertools.repeat("y"), yi.tolist(), yj.tolist(), yk.tolist())),
         np.asarray(problem.weights)[yi] * sq,
         np.column_stack((balance + yi * c + pos, marginal[yi] + yk)),
         1.0,
@@ -209,9 +228,9 @@ def _fixed_transport(
     ordinals: np.ndarray | None,
     cap: int,
 ) -> None:
-    """Add one ``("w", h)`` column per combination ordinal h (every
-    combination when None) with unit entries in its n marginal rows, where
-    measure i's rows start at ``marginal[i]``.
+    """Add one w-column per combination ordinal h (every combination when
+    None) with unit entries in its n marginal rows, where measure i's rows
+    start at ``marginal[i]``.
 
     Its cost routes one unit of mass from the combination's weighted mean
     to each constituent point: sum_i lambda_i |mean - x_{i,k_i}|^2.
@@ -229,9 +248,8 @@ def _fixed_transport(
         rows.append(idx + marginal)
         costs.append(cost)
     rows = np.concatenate(rows)
-    if ordinals is None:
-        ordinals = np.arange(len(rows))
-    asm.add_columns([("w", h) for h in ordinals.tolist()], np.concatenate(costs), rows, 1.0)
+    asm.add_columns(np.concatenate(costs), rows, 1.0)
+    asm.w = np.arange(len(rows)) if ordinals is None else ordinals
 
 
 def build_original(atlas: SupportAtlas, problem: Problem) -> LpModel:
@@ -266,19 +284,14 @@ def build_hybrid(
 ) -> LpModel:
     """Mixed model: mass/transport variables for the split's chosen
     candidates, fixed-transport variables for every other combination."""
-    if len(split.budgets) != atlas.point_count:
+    if len(split.on_y) != atlas.point_count:
         raise FormulationError(
-            f"split covers {len(split.budgets)} candidates, atlas has "
+            f"split covers {len(split.on_y)} candidates, atlas has "
             f"{atlas.point_count}"
         )
-    if split.y_points and max(split.y_points) >= atlas.point_count:
-        raise FormulationError("split references unknown candidate indices")
     asm = _Assembler("hybrid")
-    y_sorted = np.array(sorted(split.y_points), dtype=np.int64)
-    marginal = _mass_transport(asm, atlas, problem, y_sorted, pruned=True)
-    on_y = np.zeros(atlas.point_count, dtype=bool)
-    on_y[y_sorted] = True
-    fixed = np.flatnonzero(~on_y[atlas.combination_candidates(problem, cap)])
+    marginal = _mass_transport(asm, atlas, problem, np.flatnonzero(split.on_y), pruned=True)
+    fixed = np.flatnonzero(~split.on_y[atlas.combination_candidates(problem, cap)])
     _fixed_transport(asm, problem, marginal, fixed, cap)
     return asm.freeze()
 

@@ -62,7 +62,7 @@ class LpSolution:
     status: str
     objective_value: float
     values: np.ndarray
-    basis: tuple[int, ...]
+    basis: np.ndarray  # int64
     iterations: int
 
     @property
@@ -293,8 +293,7 @@ class _Simplex:
         objective = float(self.cost @ values) if status == "optimal" else math.nan
         if status == "unbounded":
             objective = -math.inf
-        basis = tuple(self.basis.tolist())
-        return LpSolution(status, objective, values, basis, self.iterations)
+        return LpSolution(status, objective, values, self.basis.copy(), self.iterations)
 
 
 def solve(model: LpModel, *, max_iters: int = 100_000) -> LpSolution:
@@ -307,7 +306,7 @@ def solve(model: LpModel, *, max_iters: int = 100_000) -> LpSolution:
     """
     m = model.num_constraints
     if 8 * m * m > MAX_BASIS_BYTES:
-        return LpSolution("too-large", math.nan, np.zeros(model.num_vars), (), 0)
+        return LpSolution("too-large", math.nan, np.zeros(model.num_vars), np.empty(0, np.int64), 0)
     state = _Simplex(model, max_iters)
 
     # run_phase reports "optimal" only straight after its own refactor,
@@ -363,26 +362,21 @@ def _mps_value(v: float) -> str:
     return s
 
 
-def var_name(meta) -> str:
-    """MPS column name for a variable tag (1-based indices)."""
-    kind = meta[0]
-    if kind == "z":
-        return f"z{meta[1] + 1}"
-    if kind == "y":
-        return f"y{meta[1] + 1}_{meta[2] + 1}_{meta[3] + 1}"
-    if kind == "w":
-        return f"w{meta[1] + 1}"
-    raise ValueError(f"unknown variable tag {meta!r}")
+def column_names(model: LpModel) -> list[str]:
+    """MPS names of the model's columns, in order (1-based indices)."""
+    return (
+        [f"z{j + 1}" for j in model.z.tolist()]
+        + [f"y{i + 1}_{j + 1}_{k + 1}" for i, j, k in model.y.tolist()]
+        + [f"w{h + 1}" for h in model.w.tolist()]
+    )
 
 
-def row_name(meta) -> str:
-    """MPS row name for a constraint tag (1-based indices)."""
-    kind = meta[0]
-    if kind == "balance":
-        return f"B{meta[1] + 1}_{meta[2] + 1}"
-    if kind == "marginal":
-        return f"M{meta[1] + 1}_{meta[2] + 1}"
-    raise ValueError(f"unknown row tag {meta!r}")
+def row_names(model: LpModel) -> list[str]:
+    """MPS names of the model's rows, in order (1-based indices)."""
+    return (
+        [f"B{i + 1}_{j + 1}" for i, j in model.balance.tolist()]
+        + [f"M{i + 1}_{k + 1}" for i, k in model.marginal.tolist()]
+    )
 
 
 def export_mps(model: LpModel, sink) -> None:
@@ -392,7 +386,7 @@ def export_mps(model: LpModel, sink) -> None:
     line; zero objective coefficients and zero right-hand sides are
     omitted.  ``sink`` may be a path or a text/binary stream.
     """
-    rows = [row_name(meta) for meta in model.row_meta]
+    rows = row_names(model)
     lines = ["NAME".ljust(14) + f"BARYLP_{model.formulation.upper()}"]
     lines.append("ROWS")
     lines.append(_mps_line((1, "N"), (2, "COST")))
@@ -401,8 +395,7 @@ def export_mps(model: LpModel, sink) -> None:
 
     lines.append("COLUMNS")
     csc = model.constraints.tocsc()
-    for col, meta in enumerate(model.var_meta):
-        name = var_name(meta)
+    for col, name in enumerate(column_names(model)):
         pairs: list[tuple[str, float]] = []
         if model.objective[col] != 0.0:
             pairs.append(("COST", float(model.objective[col])))
@@ -532,8 +525,8 @@ def extract_barycenter(
     """
     if solution.status != "optimal":
         raise ExtractionError(f"cannot extract from status {solution.status!r}")
-    if len(model.var_meta) != len(solution.values):
-        raise ExtractionError("solution does not match model metadata")
+    if model.num_vars != len(solution.values):
+        raise ExtractionError("solution does not match the model's columns")
 
     quant = atlas._quantizer if atlas is not None else _Quantizer(problem)
     point_by_key: dict[tuple[float, ...], tuple[float, ...]] = {}
@@ -544,22 +537,25 @@ def extract_barycenter(
         point_by_key.setdefault(key, point)
         mass_by_key[key] = mass_by_key.get(key, 0.0) + mass
 
+    def route(i, key, k, mass):
+        flow[(i, key, k)] = flow.get((i, key, k), 0.0) + mass
+
     values = np.asarray(solution.values, dtype=np.float64)
-    metas = model.var_meta
+    z_vals, y_vals, w_vals = np.split(values, np.cumsum([len(model.z), len(model.y)]))
+    dust = np.concatenate((z_vals, w_vals))
     dropped = 0.0
-    for col in np.flatnonzero((values > 0.0) & (values <= DROP_THRESHOLD)).tolist():
-        if metas[col][0] != "y":
-            dropped += float(values[col])
-    kept = np.flatnonzero(values > DROP_THRESHOLD).tolist()
+    for value in dust[(dust > 0.0) & (dust <= DROP_THRESHOLD)].tolist():
+        dropped += value
+    z_kept, y_kept, w_kept = (
+        np.flatnonzero(vals > DROP_THRESHOLD) for vals in (z_vals, y_vals, w_vals)
+    )
 
     # Means of the kept fixed-transport combinations, and the candidates
-    # the kept mass ("z", j) and transport ("y", i, j, k) variables name,
-    # in scaled coordinates so both merge under the same key.
-    w_cols = [col for col in kept if metas[col][0] == "w"]
-    ordinals = np.array([metas[col][1] for col in w_cols], dtype=np.int64)
+    # the kept mass and transport variables name, in scaled coordinates so
+    # both merge under the same key.
     # the model already holds these columns, so the cap is moot
     chunks = combination_chunks(
-        problem, quant.scaled_weights, ordinals, cap=problem.combination_total()
+        problem, quant.scaled_weights, model.w[w_kept], cap=problem.combination_total()
     )
     idx, scaled = (np.concatenate(parts) for parts in zip(*chunks))
     combos = zip(
@@ -567,37 +563,25 @@ def extract_barycenter(
         map(tuple, (scaled / quant.scale).tolist()),
         idx.tolist(),
     )
-    js = [
-        meta[1] if meta[0] == "z" else meta[2]
-        for meta in map(metas.__getitem__, kept)
-        if meta[0] in ("z", "y")
-    ]
-    if js and atlas is None:
+    js = np.concatenate((model.z[z_kept], model.y[y_kept, 1]))
+    if js.size and atlas is None:
         raise ExtractionError("mass variables need the atlas for points")
-    points = atlas.support_points[js] if js else np.empty((0, problem.dimension))
+    points = atlas.support_points[js] if js.size else np.empty((0, problem.dimension))
     candidates = zip(
         map(tuple, quant.keys(points * quant.scale).tolist()),
         map(tuple, points.tolist()),
     )
 
-    for col in kept:
-        meta = metas[col]
-        value = float(values[col])
-        kind = meta[0]
-        if kind == "z":
-            credit(*next(candidates), value)
-        elif kind == "w":
-            key, point, indices = next(combos)
-            credit(key, point, value)
-            for i, k in enumerate(indices):
-                flow[(i, key, k)] = flow.get((i, key, k), 0.0) + value
-        elif kind == "y":
-            # transport variables reference atlas points directly
-            _, i, _, k = meta
-            key, _ = next(candidates)
-            flow[(i, key, k)] = flow.get((i, key, k), 0.0) + value
-        else:
-            raise ExtractionError(f"unknown variable tag {meta!r}")
+    # in column order: z credits, y routes, then w credits and routes
+    for value in z_vals[z_kept].tolist():
+        credit(*next(candidates), value)
+    for (i, _, k), value in zip(model.y[y_kept].tolist(), y_vals[y_kept].tolist()):
+        key, _ = next(candidates)
+        route(i, key, k, value)
+    for (key, point, indices), value in zip(combos, w_vals[w_kept].tolist()):
+        credit(key, point, value)
+        for i, k in enumerate(indices):
+            route(i, key, k, value)
 
     keys = sorted(mass_by_key, key=lambda key: point_by_key[key])
     index_of = {key: idx for idx, key in enumerate(keys)}

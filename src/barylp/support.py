@@ -411,16 +411,17 @@ def combination_count(axis_sums: Sequence[int], sides: int, dice: int) -> int:
 class HybridSplit:
     """Per-candidate choice between variable representations.
 
-    Candidates in ``y_points`` get one mass variable plus transport
-    variables; every combination collapsing onto any other candidate gets
-    its own fixed-transport variable.  ``budgets[j]`` is the bound the
-    multiplicity was compared against.  The fixed-transport combinations
-    themselves are picked by ``build_hybrid`` from the atlas's
-    combination-to-candidate map.
+    Candidates j with ``on_y[j]`` (a bool array over candidates) get one
+    mass variable plus transport variables; every combination collapsing
+    onto any other candidate gets its own fixed-transport variable.
+    ``budgets[j]`` (an int64 array) is the bound the multiplicity was
+    compared against.  The fixed-transport combinations themselves are
+    picked by ``build_hybrid`` from the atlas's combination-to-candidate
+    map.
     """
 
-    y_points: frozenset[int]
-    budgets: tuple[int, ...]
+    on_y: np.ndarray
+    budgets: np.ndarray
 
 
 def hybrid_split(atlas: SupportAtlas) -> HybridSplit:
@@ -436,11 +437,11 @@ def hybrid_split(atlas: SupportAtlas) -> HybridSplit:
         n = len(atlas.sizes)
         # refined side is n*K - n + 1, so K recovers exactly
         K = (atlas.fine_grid.side - 1) // n + 1
-        budget = n * K ** atlas.fine_grid.dim + 1
-        budgets = tuple(budget for _ in range(atlas.point_count))
+        budgets = np.full(atlas.point_count, n * K ** atlas.fine_grid.dim + 1, dtype=np.int64)
     else:
-        budgets = tuple((np.diff(atlas.source_indptr) + 1).tolist())
-    y_points = frozenset(
-        j for j in range(atlas.point_count) if atlas.multiplicity[j] > budgets[j]
+        budgets = np.diff(atlas.source_indptr).astype(np.int64) + 1
+    # grid multiplicities may pass 2**63, so compare them as Python ints
+    on_y = np.array(
+        [m > b for m, b in zip(atlas.multiplicity, budgets.tolist())], dtype=bool
     )
-    return HybridSplit(y_points=y_points, budgets=budgets)
+    return HybridSplit(on_y=on_y, budgets=budgets)

@@ -291,7 +291,7 @@ def mixed_variable_counts(n, K, extra):
         "reduced": 0,
         "hybrid": 0,
         "points": 0,
-        "y_points": 0,
+        "on_y": 0,
     }
     for t in range(n + 1):
         m = n - t  # measures contributing grid cells
@@ -313,7 +313,7 @@ def mixed_variable_counts(n, K, extra):
                 counts["reduced"] += choices * (1 + sources)
                 if multiplicity > sources + 1:
                     counts["hybrid"] += choices * (1 + sources)
-                    counts["y_points"] += choices
+                    counts["on_y"] += choices
                 else:
                     counts["hybrid"] += choices * multiplicity
     return counts
@@ -327,7 +327,7 @@ def test_criterion_09_hybrid_advantage_mixed_shape():
     atlas = build_atlas_exact(twin)
     split = hybrid_split(atlas)
     assert atlas.point_count == twin_counts["points"]
-    assert len(split.y_points) == twin_counts["y_points"]
+    assert split.on_y.sum() == twin_counts["on_y"]
     built = {
         "reduced": build_reduced(atlas, twin),
         "general": build_general(twin),

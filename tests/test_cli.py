@@ -57,6 +57,98 @@ def gp552_path(tmp_path):
     return path
 
 
+# `solve --formulation all` stdout on three seeded instances, byte for byte
+GP_STDOUT = """\
+measures: n=3 sizes=[3, 3, 3] d=2
+combinations |S*|: 27
+candidates |S|: 27 (regime exact)
+formulation: original
+  model: 270 vars, 90 rows, 567 nonzeros
+  status: optimal
+  objective: 0.10906656
+  support size: 7 (sparsity bound 7)
+  checks: total-mass OK; marginals OK; cost OK; sparsity OK; non-mass-splitting OK
+formulation: reduced
+  model: 108 vars, 90 rows, 243 nonzeros
+  status: optimal
+  objective: 0.10906656
+  support size: 7 (sparsity bound 7)
+  checks: total-mass OK; marginals OK; cost OK; sparsity OK; non-mass-splitting OK
+formulation: general
+  model: 27 vars, 9 rows, 81 nonzeros
+  status: optimal
+  objective: 0.10906656
+  support size: 7 (sparsity bound 7)
+  checks: total-mass OK; marginals OK; cost OK; sparsity OK; non-mass-splitting OK
+formulation: hybrid
+  model: 27 vars, 9 rows, 81 nonzeros
+  status: optimal
+  objective: 0.10906656
+  support size: 7 (sparsity bound 7)
+  checks: total-mass OK; marginals OK; cost OK; sparsity OK; non-mass-splitting OK
+"""
+
+GRID_STDOUT = """\
+measures: n=2 sizes=[4, 7] d=2
+combinations |S*|: 28
+candidates |S|: 25 (regime grid)
+formulation: original
+  model: 300 vars, 61 rows, 600 nonzeros
+  status: optimal
+  objective: 0.3674014404
+  support size: 10 (sparsity bound 10)
+  checks: total-mass OK; marginals OK; cost OK; sparsity OK; non-mass-splitting OK
+formulation: reduced
+  model: 117 vars, 55 rows, 234 nonzeros
+  status: optimal
+  objective: 0.3674014404
+  support size: 10 (sparsity bound 10)
+  checks: total-mass OK; marginals OK; cost OK; sparsity OK; non-mass-splitting OK
+formulation: general
+  model: 28 vars, 11 rows, 56 nonzeros
+  status: optimal
+  objective: 0.3674014404
+  support size: 10 (sparsity bound 10)
+  checks: total-mass OK; marginals OK; cost OK; sparsity OK; non-mass-splitting OK
+formulation: hybrid
+  model: 28 vars, 11 rows, 56 nonzeros
+  status: optimal
+  objective: 0.3674014404
+  support size: 10 (sparsity bound 10)
+  checks: total-mass OK; marginals OK; cost OK; sparsity OK; non-mass-splitting OK
+"""
+
+MIXED_STDOUT = """\
+measures: n=3 sizes=[5, 5, 5] d=2
+combinations |S*|: 125
+candidates |S|: 56 (regime exact)
+formulation: original
+  model: 896 vars, 183 rows, 1848 nonzeros
+  status: optimal
+  objective: 12.66950907
+  support size: 13 (sparsity bound 13)
+  checks: total-mass OK; marginals OK; cost OK; sparsity OK; non-mass-splitting OK
+formulation: reduced
+  model: 326 vars, 183 rows, 708 nonzeros
+  status: optimal
+  objective: 12.66950907
+  support size: 13 (sparsity bound 13)
+  checks: total-mass OK; marginals OK; cost OK; sparsity OK; non-mass-splitting OK
+formulation: general
+  model: 125 vars, 15 rows, 375 nonzeros
+  status: optimal
+  objective: 12.66950907
+  support size: 13 (sparsity bound 13)
+  checks: total-mass OK; marginals OK; cost OK; sparsity OK; non-mass-splitting OK
+formulation: hybrid
+  model: 125 vars, 15 rows, 375 nonzeros
+  status: optimal
+  objective: 12.66950907
+  support size: 13 (sparsity bound 13)
+  checks: total-mass OK; marginals OK; cost OK; sparsity OK; non-mass-splitting OK
+"""
+
+
 class TestSolve:
     def test_forced_general(self, forced_path, capsys):
         assert main(["solve", "--formulation", "general", forced_path]) == 0
@@ -104,6 +196,18 @@ class TestSolve:
         main(["solve", "--formulation", "all", small_path])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_pinned_stdout(self, tmp_path, capsys):
+        for gen_args, expected in (
+        (["general", "-n", "3", "-p", "3"], GP_STDOUT),
+        (["grid", "-n", "2", "-K", "3", "--density", "0.6"], GRID_STDOUT),
+        (["mixed", "-n", "3", "-K", "2", "--extra", "1"], MIXED_STDOUT),
+        ):
+            path = str(tmp_path / f"{gen_args[0]}.json")
+            assert main(["gen", *gen_args, "--seed", "0", "--out", path]) == 0
+            capsys.readouterr()
+            assert main(["solve", "--formulation", "all", path]) == 0
+            assert capsys.readouterr().out == expected, gen_args[0]
 
     def test_grid_csv_input(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -5,9 +5,12 @@ formulations disagree on most easily: lattice points whose combinations
 share a weighted mean (under uniform and under random weights), collinear
 supports, one-point measures and d = 3.  Lattice draws with uniform
 weights build the three atlas formulations on the grid atlas as well, when
-the refined grid is small enough for the dense simplex.
+the refined grid is small enough for the dense simplex.  Sparse supports
+leave grid candidates that some measure cannot reach, which reduced and
+hybrid must leave out.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +61,13 @@ def problems(draw):
     return problem(measures, weights)
 
 
+def assert_balance_rows_hold_transport(model):
+    """Every balance row holds a y entry besides its -z_j."""
+    nz, ny = len(model.z), len(model.y)
+    transport = model.constraints[: len(model.balance), nz : nz + ny]
+    assert np.all(np.diff(transport.indptr) > 0), model.formulation
+
+
 def assert_all_checks_pass(bary):
     failed = [c.name for c in bary.verification.checks if not c.passed]
     assert not failed, bary.verification.summary()
@@ -82,6 +92,9 @@ def test_formulations_agree_with_general(p):
             build_reduced(atlas, p),
             build_hybrid(atlas, hybrid_split(atlas), p),
         )
+        if atlas.regime == "grid":
+            for model in models[1:]:
+                assert_balance_rows_hold_transport(model)
         for model in models:
             label = (atlas.regime, model.formulation)
             solution = solve(model)

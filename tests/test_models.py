@@ -9,6 +9,7 @@ from barylp import generators
 from barylp.cli import RunConfig, _build_model
 from barylp.models import (
     FormulationError,
+    LpModel,
     build_general,
     build_hybrid,
     build_original,
@@ -16,7 +17,8 @@ from barylp.models import (
     predict_sizes,
     variable_reduction,
 )
-from barylp.support import build_atlas_exact, hybrid_split
+from barylp.solver import column_names, row_names
+from barylp.support import HybridSplit, build_atlas_exact, hybrid_split
 
 from conftest import measure, problem
 
@@ -30,6 +32,12 @@ def build_all(p, atlas=None):
         "general": build_general(p),
         "hybrid": build_hybrid(atlas, split, p),
     }
+
+
+def assert_same_identities(a: LpModel, b: LpModel) -> None:
+    """The two models name every column and row alike, block by block."""
+    for block in ("z", "y", "w", "balance", "marginal"):
+        assert np.array_equal(getattr(a, block), getattr(b, block)), block
 
 
 def plain_fixed_costs(p):
@@ -111,15 +119,14 @@ class TestBuildOriginal:
         atlas = build_atlas_exact(p)
         model = build_original(atlas, p)
         assert np.all(model.objective >= 0.0)
-        for col, meta in enumerate(model.var_meta):
-            if meta[0] == "z":
-                assert model.objective[col] == 0.0
-            else:
-                _, i, j, k = meta
-                xj = atlas.support_points[j]
-                xik = p.measures[i].points[k]
-                expected = p.weights[i] * sum((a - b) ** 2 for a, b in zip(xj, xik))
-                assert model.objective[col] == pytest.approx(expected, rel=1e-12)
+        nz = len(model.z)
+        assert nz + len(model.y) == model.num_vars
+        assert np.all(model.objective[:nz] == 0.0)
+        for c, (i, j, k) in enumerate(model.y.tolist()):
+            xj = atlas.support_points[j]
+            xik = p.measures[i].points[k]
+            expected = p.weights[i] * sum((a - b) ** 2 for a, b in zip(xj, xik))
+            assert model.objective[nz + c] == pytest.approx(expected, rel=1e-12)
 
 
 class TestBuildReduced:
@@ -149,8 +156,7 @@ class TestBuildReduced:
         atlas = build_atlas_exact(p)
         reduced = build_reduced(atlas, p)
         original = build_original(atlas, p)
-        assert reduced.var_meta == original.var_meta
-        assert reduced.row_meta == original.row_meta
+        assert_same_identities(reduced, original)
         assert (reduced.constraints != original.constraints).nnz == 0
         assert np.array_equal(reduced.objective, original.objective)
 
@@ -175,11 +181,9 @@ class TestBuildReduced:
         original = build_original(atlas, p)
 
         def nonzeros(model):
+            rows, columns = row_names(model), column_names(model)
             coo = model.constraints.tocoo()
-            return {
-                (model.row_meta[r], model.var_meta[c])
-                for r, c in zip(coo.row, coo.col)
-            }
+            return {(rows[r], columns[c]) for r, c in zip(coo.row, coo.col)}
 
         reduced_nnz = nonzeros(reduced)
         original_nnz = nonzeros(original)
@@ -198,8 +202,8 @@ class TestBuildGeneral:
         # duplicate means are never merged: size is the raw product
         model = build_general(twin_grid_problem)
         assert model.num_vars == 4
-        meta = [m for m in model.var_meta]
-        assert meta == [("w", 0), ("w", 1), ("w", 2), ("w", 3)]
+        assert len(model.z) == len(model.y) == 0
+        assert model.w.tolist() == [0, 1, 2, 3]
 
     def test_costs_match_cost_fixed(self):
         for p in [
@@ -236,8 +240,7 @@ class TestBuildTransportation:
         general = build_general(p)
         assert transport.num_vars == general.num_vars
         assert transport.num_constraints == general.num_constraints
-        assert transport.var_meta == general.var_meta
-        assert transport.row_meta == general.row_meta
+        assert_same_identities(transport, general)
         assert np.allclose(transport.objective, general.objective, atol=1e-12)
 
 
@@ -246,27 +249,23 @@ class TestBuildHybrid:
         p = generators.general_position(3, 3, 2, seed=6)
         atlas = build_atlas_exact(p)
         split = hybrid_split(atlas)
-        assert split.y_points == frozenset()
+        assert not split.on_y.any()
         hybrid = build_hybrid(atlas, split, p)
         general = build_general(p)
-        assert hybrid.var_meta == general.var_meta
-        assert hybrid.row_meta == general.row_meta
+        assert_same_identities(hybrid, general)
         assert np.array_equal(hybrid.objective, general.objective)
         assert (hybrid.constraints != general.constraints).nnz == 0
 
     def test_all_mass_split_identical_to_reduced(self):
-        from barylp.support import HybridSplit
-
         p = generators.grid(2, 3, 1, seed=9)
         atlas = build_atlas_exact(p)
         all_y = HybridSplit(
-            y_points=frozenset(range(atlas.point_count)),
-            budgets=tuple(0 for _ in range(atlas.point_count)),
+            on_y=np.ones(atlas.point_count, dtype=bool),
+            budgets=np.zeros(atlas.point_count, dtype=np.int64),
         )
         hybrid = build_hybrid(atlas, all_y, p)
         reduced = build_reduced(atlas, p)
-        assert hybrid.var_meta == reduced.var_meta
-        assert hybrid.row_meta == reduced.row_meta
+        assert_same_identities(hybrid, reduced)
         assert np.array_equal(hybrid.objective, reduced.objective)
         assert (hybrid.constraints != reduced.constraints).nnz == 0
 
@@ -274,17 +273,15 @@ class TestBuildHybrid:
         p = generators.mixed(n=3, K=3, extra=1, seed=13)
         atlas = build_atlas_exact(p)
         split = hybrid_split(atlas)
-        assert split.y_points  # the refined-grid interior prefers mass vars
+        assert split.on_y.any()  # the refined-grid interior prefers mass vars
         models = build_all(p, atlas)
         assert models["hybrid"].num_vars < models["reduced"].num_vars
         assert models["hybrid"].num_vars < models["general"].num_vars
 
     def test_inconsistent_split_rejected(self):
-        from barylp.support import HybridSplit
-
         p = generators.grid(2, 2, 1, seed=1)
         atlas = build_atlas_exact(p)
-        bad = HybridSplit(y_points=frozenset(), budgets=(1,))
+        bad = HybridSplit(on_y=np.zeros(1, dtype=bool), budgets=np.ones(1, dtype=np.int64))
         with pytest.raises(FormulationError):
             build_hybrid(atlas, bad, p)
 

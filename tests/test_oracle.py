@@ -61,8 +61,11 @@ class TestBasisEnumeration:
             objective=np.array([0.0]),
             constraints=sp.csr_matrix(np.array([[1.0], [1.0]])),
             rhs=np.array([1.0, 2.0]),
-            var_meta=(("w", 0),),
-            row_meta=(("balance", 0, 0), ("balance", 0, 1)),
+            z=np.empty(0, dtype=np.int64),
+            y=np.empty((0, 3), dtype=np.int64),
+            w=np.array([0]),
+            balance=np.array([[0, 0], [0, 1]]),
+            marginal=np.empty((0, 2), dtype=np.int64),
         )
         assert basis_enumeration_solve(model).status == "infeasible"
 

@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,11 +22,11 @@ from barylp.solver import (
     BarycenterSolution,
     ExtractionError,
     VerificationReport,
+    column_names,
     export_mps,
     extract_barycenter,
     solution_json,
     solve,
-    var_name,
     verify_solution,
     _Simplex,
 )
@@ -35,14 +36,20 @@ from conftest import measure, problem
 
 
 def raw_model(cost, dense, rhs, formulation="general"):
+    """The LP with these coefficients, its columns all w-columns and its
+    rows all marginal rows of measure 0."""
     dense = np.asarray(dense, dtype=float)
+    rows, cols = dense.shape
     return LpModel(
         formulation=formulation,
         objective=np.asarray(cost, dtype=float),
         constraints=sp.csr_matrix(dense),
         rhs=np.asarray(rhs, dtype=float),
-        var_meta=tuple(("w", h) for h in range(dense.shape[1])),
-        row_meta=tuple(("balance", 0, r) for r in range(dense.shape[0])),
+        z=np.empty(0, dtype=np.int64),
+        y=np.empty((0, 3), dtype=np.int64),
+        w=np.arange(cols),
+        balance=np.empty((0, 2), dtype=np.int64),
+        marginal=np.column_stack((np.zeros(rows, dtype=np.int64), np.arange(rows))),
     )
 
 
@@ -87,7 +94,7 @@ class TestSolve:
         assert a.status == b.status
         assert a.objective_value == b.objective_value
         assert np.array_equal(a.values, b.values)
-        assert a.basis == b.basis
+        assert np.array_equal(a.basis, b.basis)
 
     def test_iteration_limit_reported(self):
         p = generators.general_position(3, 3, 2, seed=1)
@@ -421,14 +428,7 @@ def parse_mps(text):
 
 class TestMpsExport:
     def test_golden_single_variable_model(self):
-        model = LpModel(
-            formulation="general",
-            objective=np.array([0.25]),
-            constraints=sp.csr_matrix(np.array([[1.0]])),
-            rhs=np.array([1.0]),
-            var_meta=(("w", 0),),
-            row_meta=(("marginal", 0, 0),),
-        )
+        model = raw_model([0.25], [[1.0]], [1.0])
         buf = io.StringIO()
         export_mps(model, buf)
         assert buf.getvalue() == GOLDEN_MPS
@@ -445,8 +445,8 @@ class TestMpsExport:
         assert len(columns) == 4
         # nonzero pattern identical to the model
         csc = model.constraints.tocsc()
-        for col, meta in enumerate(model.var_meta):
-            entries = columns[var_name(meta)]
+        for col, name in enumerate(column_names(model)):
+            entries = columns[name]
             structural = {r for r in entries if r != "COST"}
             expected = {
                 constraint_rows[r]
@@ -474,7 +474,7 @@ class TestMpsExport:
         atlas = build_atlas_exact(p)
         split = hybrid_split(atlas)
         model = build_hybrid(atlas, split, p)
-        assert {meta[0] for meta in model.var_meta} == {"z", "y", "w"}
+        assert len(model.z) and len(model.y) and len(model.w)
         buf = io.StringIO()
         export_mps(model, buf)
         rows, row_types, columns, rhs = parse_mps(buf.getvalue())
@@ -484,9 +484,11 @@ class TestMpsExport:
         assert nnz == model.num_nonzeros
 
     def test_names_not_padded(self):
-        assert var_name(("z", 1233)) == "z1234"
-        assert var_name(("y", 0, 11, 2)) == "y1_12_3"
-        assert var_name(("w", 41)) == "w42"
+        model = replace(
+            raw_model([0.0] * 3, np.ones((1, 3)), [1.0]),
+            z=np.array([1233]), y=np.array([[0, 11, 2]]), w=np.array([41]),
+        )
+        assert column_names(model) == ["z1234", "y1_12_3", "w42"]
 
     def test_binary_sink(self, forced_problem):
         model = build_general(forced_problem)

@@ -209,16 +209,14 @@ class TestExactAtlas:
         p = generators.grid(3, 3, 2, seed=8)
         for atlas in (build_atlas_exact(p), build_atlas_grid(p)):
             split = hybrid_split(atlas)
-            assert split.y_points
+            assert split.on_y.any()
             model = build_hybrid(atlas, split, p)
             means = plain_means(p)
-            for meta in model.var_meta:
-                if meta[0] != "w":
-                    continue
-                mean = means[meta[1]]
+            for h in model.w.tolist():
+                mean = means[h]
                 j = nearest_candidate(atlas, mean)
                 assert atlas.support_points[j] == pytest.approx(mean, abs=1e-9)
-                assert j not in split.y_points, atlas.regime
+                assert not split.on_y[j], atlas.regime
 
 
 class TestGridAtlas:
@@ -396,7 +394,7 @@ class TestHybridSplit:
         p = generators.general_position(3, 3, 2, seed=21)
         atlas = build_atlas_exact(p)
         split = hybrid_split(atlas)
-        assert split.y_points == frozenset()
+        assert not split.on_y.any()
 
     def test_grid_center_prefers_mass_variables(self):
         p = generators.grid(4, 4, 2, seed=0)
@@ -405,14 +403,23 @@ class TestHybridSplit:
         center = nearest_candidate(atlas, (1.5, 1.5))
         assert atlas.multiplicity[center] == 1936
         assert split.budgets[center] == 4 * 16 + 1
-        assert center in split.y_points
+        assert split.on_y[center]
+
+    def test_multiplicities_past_int64(self):
+        # 16**40 combinations: the split compares them as Python ints
+        atlas = build_atlas_grid(generators.grid(40, 16, 1, seed=0))
+        split = hybrid_split(atlas)
+        assert atlas.point_count == 601
+        assert max(atlas.multiplicity) > 2**63
+        for j, multiplicity in enumerate(atlas.multiplicity):
+            assert split.on_y[j] == (multiplicity > int(split.budgets[j])), j
 
     def test_grid_corner_prefers_fixed(self):
         p = generators.grid(4, 4, 2, seed=0)
         atlas = build_atlas_grid(p)
         split = hybrid_split(atlas)
         corner = nearest_candidate(atlas, (0.0, 0.0))
-        assert corner not in split.y_points
+        assert not split.on_y[corner]
 
     @pytest.mark.parametrize("n, K, d, density", [
         (3, 3, 1, 1.0), (2, 3, 2, 1.0), (2, 2, 3, 1.0),
@@ -425,9 +432,9 @@ class TestHybridSplit:
             candidates = atlas.combination_candidates(p)
             split = hybrid_split(atlas)
             model = build_hybrid(atlas, split, p)
-            w = [meta[1] for meta in model.var_meta if meta[0] == "w"]
+            w = model.w.tolist()
             assert len(w) == len(set(w))
             for h, mean in enumerate(means):
                 j = nearest_candidate(atlas, mean)
                 assert candidates[h] == j, (atlas.regime, h)
-                assert (h in w) == (j not in split.y_points), (atlas.regime, h)
+                assert (h in w) == (not split.on_y[j]), (atlas.regime, h)
