@@ -167,19 +167,12 @@ def _mass_transport(
     point k of each measure i: every point, or with ``pruned`` only the
     pairs (i, k) in ``atlas.sources(j)``.  Returns the first marginal row
     of each measure.
-
-    With ``pruned``, candidates some measure cannot reach (only sparse grid
-    atlases have them) are left out: such a balance row would hold only
-    -z_j, forcing z_j and its transport to 0, and no combination lands there.
     """
     n = problem.n
     # Global point g numbers measure i's points from offsets[i].
     offsets = np.cumsum((0,) + problem.sizes)
     if pruned:
         indptr, measure, point = atlas.source_indptr, atlas.source_measure, atlas.source_point
-        reached = np.zeros((atlas.point_count, n), dtype=bool)
-        reached[np.repeat(np.arange(atlas.point_count), np.diff(indptr)), measure] = True
-        candidates = candidates[reached[candidates].all(axis=1)]
     else:
         # every candidate reaches every point
         g = np.tile(np.arange(offsets[-1]), atlas.point_count)

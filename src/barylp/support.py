@@ -12,11 +12,10 @@ splits candidates between fixed-transport and mass/transport variable
 representations for the hybrid model.
 
 Two construction regimes exist: ``exact`` walks every combination and
-deduplicates (smallest possible models, exponential effort), ``grid``
-generates the refined lattice that contains all means of lattice-supported
-measures with uniform weights (polynomial effort, possibly unreachable
-candidates), with each support point reaching a box of candidates given in
-closed form by the per-axis index sums.
+deduplicates (exponential effort), ``grid`` reads the same atlas of
+lattice-supported measures with uniform weights off convolutions of their
+cell indicators on the refined lattice (polynomial effort).  On lattice
+data the two atlases are equal arrays; the regime only sets the cost.
 """
 
 from __future__ import annotations
@@ -148,13 +147,12 @@ class SupportAtlas:
     ``source_indptr[j]:source_indptr[j + 1]`` of ``source_measure`` and
     ``source_point`` are the (measure i, point k) pairs that can contribute
     to candidate j, sorted by i, then k; ``sources(j)`` reads them as
-    tuples.  In the exact regime these are the pairs some combination
-    landing on j uses; on grids, the pairs the per-axis box rule of
-    ``build_atlas_grid`` admits.  ``multiplicity[j]`` counts combinations
-    collapsing onto candidate j (exactly in the exact regime, by the
-    closed-form dice count on grids).  The exact regime also stores the
-    candidate of every combination, by ordinal; ``combination_candidates``
-    returns it in both regimes.
+    tuples: the pairs some combination landing on j uses.
+    ``multiplicity[j]`` counts the combinations collapsing onto candidate
+    j.  Both regimes hold equal arrays on lattice data; the grid regime
+    reads them off convolutions (see ``build_atlas_grid``).  The exact
+    regime also stores the candidate of every combination, by ordinal;
+    ``combination_candidates`` returns it in both regimes.
     """
 
     support_points: np.ndarray = field(repr=False)
@@ -183,21 +181,23 @@ class SupportAtlas:
     ) -> np.ndarray:
         """Candidate index of every combination's weighted mean, by ordinal.
 
-        The exact regime stores this map.  On grids every mean lies on the
-        refined lattice, so its per-axis offset from the origin in steps is
-        an integer digit, and the candidate is those digits read in base
-        ``side``, the first axis most significant, as ``build_atlas_grid``
-        numbers them; rounding leaves a margin of half a step.  Refuses
-        when the problem has more than ``cap`` combinations.
+        The exact regime stores this map.  On grids every mean's per-axis
+        offset from the origin, in refined steps, is an integer digit
+        (rounding leaves half a step); read as in ``build_atlas_grid`` the
+        digits give its lattice code, which a ``searchsorted`` finds among
+        the candidates' codes.  Refuses when the problem has more than
+        ``cap`` combinations.
         """
         if self._combo_to_index is not None:
             return self._combo_to_index
         fine = self.fine_grid
         place = fine.side ** np.arange(fine.dim - 1, -1, -1)
-        return np.concatenate([
-            np.rint((means - fine.origin) / fine.step).astype(np.int64) @ place
-            for _, means in combination_chunks(problem, problem.weights, cap=cap)
-        ])
+        chunks = combination_chunks(problem, problem.weights, cap=cap)
+        codes = [
+            np.rint((points - fine.origin) / fine.step).astype(np.int64) @ place
+            for points in [self.support_points, *(means for _, means in chunks)]
+        ]
+        return np.searchsorted(codes[0], np.concatenate(codes[1:]))
 
 
 def _incidence(
@@ -287,18 +287,18 @@ def build_atlas_exact(
 
 
 def build_atlas_grid(problem: Problem, grid: GridSpec | None = None) -> SupportAtlas:
-    """Generate the refined-lattice candidate set without touching the
-    combination stream.
+    """The exact atlas of lattice data, without walking the combinations.
 
-    Requires uniform weights and every support point on ``grid``.  All
-    ``(n*K - n + 1)**d`` refined-lattice points become candidates whether or
-    not sparse supports can actually reach them.  A candidate is indexed by
-    its per-axis lattice index sums s in [n, n*K].  The point in lattice
-    cell c (indices 1..K) is a source of it when, on every axis l, the
-    remaining sum ``s_l - c_l`` is achievable by n-1 lattice values, that
-    is ``c_l + n - 1 <= s_l <= c_l + (n - 1)*K``: a box of candidates.  On
-    full grids these are exactly the pairs some combination uses; sparse
-    supports keep pairs no combination may use.
+    Requires uniform weights and every support point on ``grid``.  Every
+    mean then lies on the refined lattice of side ``n*K - n + 1``.  Codes
+    read the per-axis cell digits (``c - 1``) in base ``side``, first axis
+    most significant; a sum of n digits never carries between axes, so the
+    1-D convolution of the measures' flattened cell indicators is their
+    d-dimensional one.  The n-fold convolution counts the combinations
+    landing on each lattice code: its nonzero codes are the candidates and
+    its values their multiplicities.  Point c of measure i is a source of
+    candidate s exactly when the other n - 1 indicators convolve to a
+    nonzero value at ``s - c``.
     """
     if grid is None:
         grid = problem.grid
@@ -326,29 +326,40 @@ def build_atlas_grid(problem: Problem, grid: GridSpec | None = None) -> SupportA
         raise GridRegimeError("grid regime requires exactly uniform weights 1/n")
     side = n * K - n + 1
     fine = GridSpec(dim=d, side=side, origin=grid.origin, step=grid.step / n)
-
-    # Candidate j has index sums n + (digits of j in base ``side``), the
-    # first axis most significant.
-    sums = np.indices((side,) * d).reshape(d, -1).T + n
-    scaled = n * np.asarray(grid.origin) + grid.step * (sums - n)
-
-    # A point's box starts at candidate sums c + n - 1, i.e. digits c - 1,
-    # and spans (n - 1)*(K - 1) + 1 sums per axis.
     place = side ** np.arange(d - 1, -1, -1)
-    width = (n - 1) * (K - 1) + 1
-    box = np.indices((width,) * d).reshape(d, -1).T @ place
-    corner = (cells - 1) @ place
-    g = np.arange(len(cells))
-    codes = (corner[:, None] + box[None, :]) * len(cells) + g[:, None]
-    indptr, measure, point = _incidence(codes.ravel(), problem.sizes, side**d)
+    code = (cells - 1) @ place
+    offsets = np.cumsum((0,) + problem.sizes)
+    indicators = [np.bincount(code[a:b]) for a, b in zip(offsets, offsets[1:])]
 
+    # Multiplicities exactly: int64 while the combination count fits it,
+    # Python ints past that.  Reach by bool prefix and suffix products.
+    exact = np.int64 if problem.combination_total() < 2**63 else object
+    count = np.ones(1, dtype=exact)
+    prefix, suffix = [np.ones(1, dtype=bool)], [np.ones(1, dtype=bool)]
+    for ind in indicators:
+        count = np.convolve(count, ind.astype(exact))
+    for i in range(n - 1):
+        prefix.append(np.convolve(prefix[-1], indicators[i] > 0))
+        suffix.insert(0, np.convolve(suffix[0], indicators[n - 1 - i] > 0))
+    candidates = np.flatnonzero(count)
+
+    # Incidence over lattice codes; a code no combination reaches holds no
+    # entries, so each candidate's pointers are read off at its code.
+    codes = np.concatenate([
+        ((code[a:b, None] + np.flatnonzero(np.convolve(before, after))) * offsets[-1]
+         + np.arange(a, b)[:, None]).ravel()
+        for a, b, before, after in zip(offsets, offsets[1:], prefix, suffix)
+    ])
+    indptr, measure, point = _incidence(codes, problem.sizes, side**d)
+
+    scaled = n * np.asarray(grid.origin) + grid.step * (candidates[:, None] // place % side)
     return SupportAtlas(
         support_points=scaled / quant.scale,
-        multiplicity=tuple(combination_count(s, K, n) for s in sums.tolist()),
+        multiplicity=tuple(count[candidates].tolist()),
         regime="grid",
         sizes=problem.sizes,
         combination_total=problem.combination_total(),
-        source_indptr=indptr,
+        source_indptr=indptr[np.append(candidates, side**d)],
         source_measure=measure,
         source_point=point,
         fine_grid=fine,
@@ -398,15 +409,6 @@ def count_dice(total: int, sides: int, dice: int) -> int:
     )
 
 
-def combination_count(axis_sums: Sequence[int], sides: int, dice: int) -> int:
-    """Combinations collapsing onto the lattice candidate whose per-axis
-    index sums are ``axis_sums``: the product of per-axis dice counts."""
-    out = 1
-    for s in axis_sums:
-        out *= count_dice(int(s), sides, dice)
-    return out
-
-
 @dataclass(frozen=True)
 class HybridSplit:
     """Per-candidate choice between variable representations.
@@ -429,9 +431,15 @@ def hybrid_split(atlas: SupportAtlas) -> HybridSplit:
 
     A candidate j costs ``multiplicity[j]`` fixed-transport variables or
     ``budget`` mass/transport variables, where the budget is the per-point
-    variable count: ``n*K^d + 1`` on full grids, ``len(sources(j)) + 1``
-    in the exact regime.  Transport variables win only on a strict excess,
-    so general-position data (all multiplicities 1) stays all fixed.
+    variable count: ``n*K^d + 1`` (every point of a full grid) in the grid
+    regime, ``len(sources(j)) + 1`` in the exact regime.  Transport
+    variables win only on a strict excess, so general-position data (all
+    multiplicities 1) stays all fixed.
+
+    The budgets stay per regime although both atlases are equal on
+    lattice data: on full grids ``len(sources(j)) + 1`` puts more
+    candidates on y, and the dense simplex pays for the extra rows
+    (grid(4,4,2): 644 against 500 rows, 0.63 against 0.28 s to solve).
     """
     if atlas.regime == "grid":
         n = len(atlas.sizes)

@@ -1,5 +1,6 @@
 """Shared fixtures and small instance builders."""
 
+import numpy as np
 import pytest
 
 from barylp.measures import DiscreteMeasure, Problem, uniform_weights
@@ -17,6 +18,15 @@ def problem(measures, weights=None, grid=None):
     if weights is None:
         weights = uniform_weights(len(measures))
     return Problem(measures, tuple(float(w) for w in weights), grid=grid)
+
+
+def assert_atlases_equal(grid, exact, p):
+    """Every array of two atlases of ``p``, and their maps from
+    combinations to candidate rows, are equal."""
+    for name in ("support_points", "source_indptr", "source_measure", "source_point"):
+        assert np.array_equal(getattr(grid, name), getattr(exact, name)), name
+    assert grid.multiplicity == exact.multiplicity
+    assert np.array_equal(grid.combination_candidates(p), exact.combination_candidates(p))
 
 
 @pytest.fixture

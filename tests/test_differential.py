@@ -4,10 +4,8 @@ Problems are drawn at random and kept small, with the degenerate shapes the
 formulations disagree on most easily: lattice points whose combinations
 share a weighted mean (under uniform and under random weights), collinear
 supports, one-point measures and d = 3.  Lattice draws with uniform
-weights build the three atlas formulations on the grid atlas as well, when
-the refined grid is small enough for the dense simplex.  Sparse supports
-leave grid candidates that some measure cannot reach, which reduced and
-hybrid must leave out.
+weights build the grid atlas as well, which must equal the exact atlas
+array for array, and the three atlas formulations on it.
 """
 
 import numpy as np
@@ -20,12 +18,9 @@ from barylp.models import build_general, build_hybrid, build_original, build_red
 from barylp.solver import extract_barycenter, solve
 from barylp.support import build_atlas_exact, build_atlas_grid, hybrid_split
 
-from conftest import measure, problem
+from conftest import assert_atlases_equal, measure, problem
 
 OBJECTIVE_TOL = 1e-8
-# Lattice draws refine to up to ~5e4 candidates; past a few hundred the
-# dense simplex takes seconds per grid-atlas model.
-GRID_CANDIDATE_LIMIT = 200
 
 
 @st.composite
@@ -84,17 +79,16 @@ def test_formulations_agree_with_general(p):
     atlases = [build_atlas_exact(p)]
     spec = detect_grid(p)
     if spec is not None and p.has_uniform_weights():
-        if (p.n * (spec.side - 1) + 1) ** spec.dim <= GRID_CANDIDATE_LIMIT:
-            atlases.append(build_atlas_grid(p, spec))
+        atlases.append(build_atlas_grid(p, spec))
+        assert_atlases_equal(atlases[1], atlases[0], p)
     for atlas in atlases:
         models = (
             build_original(atlas, p),
             build_reduced(atlas, p),
             build_hybrid(atlas, hybrid_split(atlas), p),
         )
-        if atlas.regime == "grid":
-            for model in models[1:]:
-                assert_balance_rows_hold_transport(model)
+        for model in models[1:]:
+            assert_balance_rows_hold_transport(model)
         for model in models:
             label = (atlas.regime, model.formulation)
             solution = solve(model)

@@ -369,13 +369,13 @@ class TestGridRegimeSolving:
             )
 
     def test_sparse_grid_atlas_keeps_the_optimum(self):
-        # unreachable refined-grid candidates and conservatively pruned
-        # transports must not change the optimal value
         for seed in range(3):
             p = generators.grid(3, 3, 2, density=0.5, seed=90 + seed)
             fast = build_atlas_grid(p)
             reference = solve(build_general(p))
             model = build_reduced(fast, p)
+            exact = build_reduced(build_atlas_exact(p), p)
+            assert model.constraints.shape == exact.constraints.shape
             solution = solve(model)
             assert solution.status == "optimal"
             assert solution.objective_value == pytest.approx(

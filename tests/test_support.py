@@ -16,12 +16,11 @@ from barylp.support import (
     build_atlas_exact,
     build_atlas_grid,
     combination_chunks,
-    combination_count,
     count_dice,
     hybrid_split,
 )
 
-from conftest import measure, problem
+from conftest import assert_atlases_equal, measure, problem
 
 
 def kernel(p, ordinals=None, weights=None, cap=10**8):
@@ -43,24 +42,6 @@ def plain_means(p):
             for l in range(p.dimension):
                 mean[l] += w * pt[l]
         out.append(tuple(mean))
-    return out
-
-
-def range_rule_sources(p):
-    """Grid incidence by the per-axis range rule, one candidate at a time:
-    point k of measure i can take part in the candidate with per-axis
-    index sums s only if every axis leaves a remainder s_l - c_l that n-1
-    lattice values can make up."""
-    n, K, d = p.n, p.grid.side, p.grid.dim
-    out = []
-    for sums in itertools.product(range(n, n * K + 1), repeat=d):
-        ranges = [(max(1, s - (n - 1) * K), min(K, s - (n - 1))) for s in sums]
-        out.append(tuple(
-            (i, k)
-            for i, m in enumerate(p.measures)
-            for k, point in enumerate(m.points)
-            if all(lo <= c <= hi for c, (lo, hi) in zip(p.grid.cell(point), ranges))
-        ))
     return out
 
 
@@ -245,39 +226,24 @@ class TestGridAtlas:
         center = nearest_candidate(atlas, (10.0 / 4.0 - 1.0, 10.0 / 4.0 - 1.0))
         assert len(atlas.sources(center)) == 4 * 16
 
-    def test_budget_rule_matches_brute_force(self):
-        # reachability oracle: enumerate all combinations of the full grid
-        p = generators.grid(3, 3, 1, seed=1)
-        exact = build_atlas_exact(p)
-        fast = build_atlas_grid(p)
-        assert np.array_equal(exact.support_points, fast.support_points)
-        for j in range(fast.point_count):
-            assert fast.sources(j) == exact.sources(j), j
-
-    def test_agrees_with_exact_on_full_grids(self):
-        for n, K, d in [(2, 2, 1), (2, 4, 1), (3, 3, 1), (2, 3, 2), (3, 2, 2), (4, 2, 2), (3, 3, 2)]:
-            p = generators.grid(n, K, d, seed=n + K + d)
-            exact = build_atlas_exact(p)
-            fast = build_atlas_grid(p)
-            assert np.array_equal(fast.support_points, exact.support_points), (n, K, d)
-            assert fast.multiplicity == exact.multiplicity, (n, K, d)
-            for j in range(fast.point_count):
-                assert fast.sources(j) == exact.sources(j), (n, K, d, j)
-
     @pytest.mark.parametrize("n, K, d, density", [
-        (3, 5, 1, 0.4), (4, 4, 1, 0.6),
-        (2, 4, 2, 0.5), (3, 3, 2, 0.6),
-        (2, 3, 3, 0.5), (3, 2, 3, 0.6),
+        (1, 4, 2, 1.0), (2, 2, 1, 1.0), (2, 4, 1, 1.0), (3, 3, 1, 1.0), (4, 4, 1, 1.0),
+        (2, 3, 2, 1.0), (3, 2, 2, 1.0), (4, 2, 2, 1.0), (3, 3, 2, 1.0), (2, 2, 3, 1.0),
+        (1, 4, 2, 0.5), (3, 5, 1, 0.4), (4, 4, 1, 0.6), (5, 2, 1, 0.5),
+        (2, 4, 2, 0.5), (3, 3, 2, 0.6), (3, 4, 2, 0.8), (4, 3, 2, 0.8), (5, 2, 2, 0.5),
+        (2, 3, 3, 0.5), (3, 2, 3, 0.6), (2, 4, 3, 0.15),
     ])
-    def test_sparse_incidence_matches_range_rule(self, n, K, d, density):
+    def test_equals_exact_atlas(self, n, K, d, density):
         for seed in range(3):
             p = generators.grid(n, K, d, density=density, seed=seed)
             fast = build_atlas_grid(p)
-            assert [fast.sources(j) for j in range(fast.point_count)] == range_rule_sources(p)
-            # the rule is conservative: it keeps every pair the exact atlas uses
-            exact = build_atlas_exact(p)
-            for j, point in enumerate(exact.support_points):
-                assert set(exact.sources(j)) <= set(fast.sources(nearest_candidate(fast, point)))
+            assert_atlases_equal(fast, build_atlas_exact(p), p)
+            if density == 1.0:
+                # per-axis index sums of each candidate, rolled as n dice
+                sums = np.rint(n * fast.support_points).astype(int) + n
+                assert fast.multiplicity == tuple(
+                    math.prod(count_dice(s, K, n) for s in row) for row in sums.tolist()
+                )
 
     def test_rejects_nonuniform_weights(self):
         p = generators.grid(2, 2, 1, seed=0)
@@ -312,11 +278,6 @@ class TestGridAtlas:
         p = problem([measure([[0.0], [0.5]]), measure([[1.0]], [1.0])], grid=g)
         with pytest.raises(InvariantError):
             build_atlas_grid(p)
-
-    def test_sparse_supports_keep_all_candidates(self):
-        p = generators.grid(2, 3, 1, density=0.5, seed=12)
-        atlas = build_atlas_grid(p)
-        assert atlas.point_count == 2 * 3 - 2 + 1  # all refined cells stay
 
 
 def brute_force_dice(total, sides, dice):
@@ -372,21 +333,17 @@ class TestCountDice:
 
 
 class TestCombinationCount:
+    """Grid multiplicities are products of per-axis dice counts."""
+
     def test_corner(self):
-        assert combination_count((4, 4), 4, 4) == 1
+        atlas = build_atlas_grid(generators.grid(4, 4, 2, seed=0))
+        corner = nearest_candidate(atlas, (0.0, 0.0))
+        assert atlas.multiplicity[corner] == count_dice(4, 4, 4) ** 2 == 1
 
     def test_center_square(self):
-        assert combination_count((10, 10), 4, 4) == 44 * 44 == 1936
-
-    def test_one_dimension_reduces_to_dice(self):
-        for s in range(3, 13):
-            assert combination_count((s,), 4, 3) == count_dice(s, 4, 3)
-
-    def test_grid_atlas_multiplicities_match_exact(self):
-        p = generators.grid(4, 4, 1, seed=2)
-        exact = build_atlas_exact(p)
-        fast = build_atlas_grid(p)
-        assert exact.multiplicity == fast.multiplicity
+        atlas = build_atlas_grid(generators.grid(4, 4, 2, seed=0))
+        center = nearest_candidate(atlas, (1.5, 1.5))
+        assert atlas.multiplicity[center] == count_dice(10, 4, 4) ** 2 == 1936
 
 
 class TestHybridSplit:
