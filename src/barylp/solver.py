@@ -6,18 +6,29 @@ the basis (LAPACK ``dgetrf``) and takes x_B and the duals from triangular
 solves (``dgetrs``); the explicit inverse is formed over the factors
 (``dgetri``) when a pivot needs it, and each pivot updates it in place by a
 rank-1 ``dger`` update.  A phase end whose optimality check holds thus
-costs one factorization and no inversion.  Phase 1 starts from a
-triangular crash basis: every row with right-hand side 0 (the balance
-rows of the original, reduced and hybrid models) takes its cheapest column
-with no other nonzero in such a row, and every other row its artificial.
-Up to a permutation that basis is [[D, 0], [E, I]], so its inverse
-[[D^-1, 0], [-E D^-1, I]] is written out directly.  Pivots take the most
-negative reduced cost, and among columns within ``OPT_TOL`` of it the
-cheapest, then the lowest index, so phase 1 ends at a vertex chosen with
-the cost in view.  A long degenerate streak, a sign of cycling on these
-transportation-like polytopes, switches the solve to Bland's rule.  Models
-whose dense basis would exceed ``MAX_BASIS_BYTES`` are refused as
-``too-large``; export them in MPS format and solve them externally.
+costs one factorization and no inversion.
+
+The start depends on the matrix.  A fixed-transport matrix (every
+right-hand side positive and every entry 1: ``general``, and ``hybrid``
+with no candidate on the mass/transport side) starts from a least-cost
+greedy plan: the cheapest column whose rows all keep mass takes the least
+remaining mass of its rows, until no such column is left.  The plan is a
+triangular basis, factored once.  Other models start from a triangular
+crash basis: every row with right-hand side 0 (the balance rows of the
+original, reduced and hybrid models) takes its cheapest column with no
+other nonzero in such a row, and every other row its artificial.  Up to
+a permutation that basis is [[D, 0], [E, I]], so its inverse
+[[D^-1, 0], [-E D^-1, I]] is written out directly.  Phase 1 runs only
+when the start's artificials carry mass, which the greedy start of a
+model with balanced marginals does not.
+
+Pivots take the most negative reduced cost, and among columns within
+``OPT_TOL`` of it the cheapest, then the lowest index, so phase 1 ends at
+a vertex chosen with the cost in view.  A long degenerate streak, a sign
+of cycling on these transportation-like polytopes, switches the solve to
+Bland's rule.  Models whose dense basis would exceed ``MAX_BASIS_BYTES``
+are refused as ``too-large``; export them in MPS format and solve them
+externally.
 """
 
 from __future__ import annotations
@@ -56,6 +67,9 @@ class LpSolution:
     ``values`` holds the model variables; redundant constraint rows are
     detected after phase 1 and dropped internally, so an optimal basis
     contains model variables only (its size is the constraint rank).
+    ``phase_iterations`` counts the pivots of phase 1 and of phase 2;
+    ``iterations`` is the total, which also counts the pivots that take
+    leftover artificials out of the basis between the phases.
     """
 
     # optimal | infeasible | unbounded | iteration-limit | numeric-failure | too-large
@@ -64,6 +78,7 @@ class LpSolution:
     values: np.ndarray
     basis: np.ndarray  # int64
     iterations: int
+    phase_iterations: tuple[int, int] = (0, 0)
 
     @property
     def ok(self) -> bool:
@@ -97,12 +112,57 @@ class _Simplex:
         self._binv = np.eye(self.m, order="F")
         self.x_basic = b.copy()
         self.iterations = 0
+        self.phase_iterations = [0, 0]
         self._since_refactor = 0
         self._degenerate_streak = 0
         self._cycle_guard = 1000 + 2 * (self.m + self.nv)
         self._duals = None  # maintained incrementally, exact after refactor
         self.feas_threshold = FEAS_TOL * (1.0 + float(np.abs(b).sum()))
-        self.crash()
+        if self.fixed_transport():
+            self.greedy(model.constraints.tocsr())
+        else:
+            self.crash()
+
+    def fixed_transport(self) -> bool:
+        """Whether every right-hand side is positive and every column holds
+        entries equal to 1 only, at least one: the matrices of ``general``
+        and of ``hybrid`` with no candidate on y.  Read off the matrix, as
+        the model's column and row labels need not describe it."""
+        A = self.A
+        return bool(
+            (self.b > 0.0).all() and (A.data == 1.0).all() and (np.diff(A.indptr) > 0).all()
+        )
+
+    def greedy(self, rows: sp.csr_matrix) -> None:
+        """Start from the least-cost greedy plan of a fixed-transport matrix.
+
+        Step by step, the cheapest column (lowest index on ties) whose rows
+        all keep more than ``FEAS_TOL`` of their right-hand side takes the
+        least remainder among its rows.  The rows left at or below
+        ``FEAS_TOL`` are exhausted: the column takes the basis position of
+        the first of them, the others keep their artificials, and every
+        column of an exhausted row, read off the CSR ``rows``, drops out.
+        In step order each column's position lies in none of the later
+        columns, so the basis is triangular with unit diagonal, hence
+        nonsingular, and every basic value is nonnegative.  With balanced
+        marginals every row ends exhausted and the start is feasible.
+        """
+        A = self.A
+        remaining = self.b.copy()
+        price = self.cost.copy()  # inf once the column has dropped out
+        while True:
+            col = int(np.argmin(price))
+            if price[col] == np.inf:
+                break
+            support = A.indices[A.indptr[col]:A.indptr[col + 1]]
+            remaining[support] -= remaining[support].min()
+            exhausted = support[remaining[support] <= FEAS_TOL]
+            # the artificial of row r sits at basis position r
+            self.basis[exhausted[0]] = col
+            self.in_basis[col] = True
+            entry, _ = _entries(rows, exhausted)
+            price[rows.indices[entry]] = np.inf
+        self.refactor()
 
     def crash(self) -> None:
         """Start each b = 0 row on a structural column instead of its artificial.
@@ -228,8 +288,11 @@ class _Simplex:
             if self._duals is None:
                 self._duals = self._solve(costs[self.basis], trans=1)
             reduced = costs[:self.nv] - self.A_T @ self._duals
-            eligible = np.nonzero((reduced < -OPT_TOL) & ~self.in_basis)[0]
-            if eligible.size == 0:
+            # basic columns price at 0; scattering over the m basis positions
+            # is cheaper than a mask over every column
+            reduced[self.basis[self.basis < self.nv]] = 0.0
+            entering = int(np.argmin(reduced))
+            if reduced[entering] >= -OPT_TOL:
                 if verified:
                     return "optimal"
                 self.refactor()
@@ -237,13 +300,14 @@ class _Simplex:
                 continue
             verified = False
             if self.bland:
-                entering = int(eligible[0])
+                entering = int(np.argmax(reduced < -OPT_TOL))
             else:
                 # the most negative reduced cost; near-ties go to the cheapest
                 # column, then the lowest index
-                steepest = reduced[eligible]
-                near = eligible[steepest <= steepest.min() + OPT_TOL]
-                entering = int(near[np.argmin(self.cost[near])])
+                near = np.flatnonzero(reduced <= reduced[entering] + OPT_TOL)
+                if near.size > 1:
+                    near = near[reduced[near] < -OPT_TOL]
+                    entering = int(near[np.argmin(self.cost[near])])
 
             u = self.column(entering)
             blockers = np.nonzero(u > PIVOT_TOL)[0]
@@ -255,14 +319,15 @@ class _Simplex:
             ties = blockers[ratios <= best + 1e-12]
             leave_pos = int(ties[np.argmin(self.basis[ties])])
             self.apply_pivot(entering, leave_pos, u, float(reduced[entering]))
+            self.phase_iterations[phase - 1] += 1
 
     def cleanup_artificials(self) -> None:
         """Pivot leftover artificials out; drop the rows that cannot.
 
-        After a feasible phase 1 every basic artificial sits at ~zero.  A
-        row whose artificial admits no usable pivot is a dependent
-        constraint and is removed outright, so phase 2 runs on model
-        variables only.
+        After a feasible start or phase 1 every basic artificial sits at
+        ~zero.  A row whose artificial admits no usable pivot is a
+        dependent constraint and is removed outright, so phase 2 runs on
+        model variables only.
         """
         drop_rows: list[int] = []
         for pos in np.nonzero(self.basis >= self.nv)[0]:
@@ -293,7 +358,14 @@ class _Simplex:
         objective = float(self.cost @ values) if status == "optimal" else math.nan
         if status == "unbounded":
             objective = -math.inf
-        return LpSolution(status, objective, values, self.basis.copy(), self.iterations)
+        return LpSolution(
+            status, objective, values, self.basis.copy(), self.iterations,
+            tuple(self.phase_iterations),
+        )
+
+    def infeasibility(self) -> float:
+        """The mass the basic artificials carry: the phase-1 objective."""
+        return float(self.x_basic[self.basis >= self.nv].sum())
 
 
 def solve(model: LpModel, *, max_iters: int = 100_000) -> LpSolution:
@@ -309,14 +381,16 @@ def solve(model: LpModel, *, max_iters: int = 100_000) -> LpSolution:
         return LpSolution("too-large", math.nan, np.zeros(model.num_vars), np.empty(0, np.int64), 0)
     state = _Simplex(model, max_iters)
 
-    # run_phase reports "optimal" only straight after its own refactor,
-    # so x_basic is freshly computed at both phase ends
-    status = state.run_phase(1)
-    if status != "optimal":
-        return state.solution(status)
-    infeasibility = float(state.x_basic[state.basis >= state.nv].sum())
-    if infeasibility > state.feas_threshold:
-        return state.solution("infeasible")
+    # the start's x_basic is exact or freshly factored, and run_phase
+    # reports "optimal" only straight after its own refactor, so x_basic is
+    # freshly computed at both phase ends; phase 1 runs only when the
+    # start is infeasible
+    if state.infeasibility() > state.feas_threshold:
+        status = state.run_phase(1)
+        if status != "optimal":
+            return state.solution(status)
+        if state.infeasibility() > state.feas_threshold:
+            return state.solution("infeasible")
     state.cleanup_artificials()
 
     status = state.run_phase(2)

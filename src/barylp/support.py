@@ -342,15 +342,30 @@ def build_atlas_grid(problem: Problem, grid: GridSpec | None = None) -> SupportA
         prefix.append(np.convolve(prefix[-1], indicators[i] > 0))
         suffix.insert(0, np.convolve(suffix[0], indicators[n - 1 - i] > 0))
     candidates = np.flatnonzero(count)
+    N = len(candidates)
+    row = np.full(side**d, -1)
+    row[candidates] = np.arange(N)
 
-    # Incidence over lattice codes; a code no combination reaches holds no
-    # entries, so each candidate's pointers are read off at its code.
-    codes = np.concatenate([
-        ((code[a:b, None] + np.flatnonzero(np.convolve(before, after))) * offsets[-1]
-         + np.arange(a, b)[:, None]).ravel()
+    # Incidence.  The candidates a point reaches are distinct, so every
+    # (candidate, measure) block gets one slot per source, and filling the
+    # next free slot of each candidate of each point, measure by measure
+    # and point by point, writes the entries in CSR order: no sort.
+    targets = [
+        (code[a:b], np.flatnonzero(np.convolve(before, after)))
         for a, b, before, after in zip(offsets, offsets[1:], prefix, suffix)
+    ]
+    counts = np.column_stack([
+        np.bincount(row[(cells_i[:, None] + reach).ravel()], minlength=N)
+        for cells_i, reach in targets
     ])
-    indptr, measure, point = _incidence(codes, problem.sizes, side**d)
+    slots = counts.ravel()
+    start = (np.cumsum(slots) - slots).reshape(counts.shape)
+    point = np.empty(slots.sum(), dtype=np.int64)
+    for free, (cells_i, reach) in zip(start.T.copy(), targets):
+        for k, c in enumerate(cells_i.tolist()):
+            reached = row[c + reach]
+            point[free[reached]] = k
+            free[reached] += 1
 
     scaled = n * np.asarray(grid.origin) + grid.step * (candidates[:, None] // place % side)
     return SupportAtlas(
@@ -359,8 +374,8 @@ def build_atlas_grid(problem: Problem, grid: GridSpec | None = None) -> SupportA
         regime="grid",
         sizes=problem.sizes,
         combination_total=problem.combination_total(),
-        source_indptr=indptr[np.append(candidates, side**d)],
-        source_measure=measure,
+        source_indptr=np.append(start[:, 0], len(point)),
+        source_measure=np.repeat(np.tile(np.arange(n), N), slots),
         source_point=point,
         fine_grid=fine,
         _quantizer=quant,

@@ -144,6 +144,12 @@ class TestSolve:
         ]
         model = raw_model(cost, dense, [0.0, 0.0, 1.0])
         reference = basis_enumeration_solve(model)
+        # labelled all-w, but its matrix is not fixed-transport: it keeps
+        # the crash start
+        start = _Simplex(model, 100)
+        assert not start.fixed_transport()
+        crashed = {pos: int(var) for pos, var in enumerate(start.basis) if var < start.nv}
+        assert crashed == reference_crash(model)
 
         states = []
         init = _Simplex.__init__
@@ -294,7 +300,8 @@ class TestCrashBasis:
 
     def test_optimal_start_basis_forms_no_inverse(self, monkeypatch):
         # every row has b = 0 and crashes onto columns 0 and 1, which are
-        # optimal; each phase end only factors the basis to check that
+        # optimal; the start is feasible, so phase 1 is skipped, and the end
+        # of phase 2 only factors the basis to check optimality
         model = raw_model([1.0, 1.0, 3.0], [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [0.0, 0.0])
         calls = {"dgetrf": 0, "dgetri": 0}
 
@@ -312,7 +319,8 @@ class TestCrashBasis:
         solution = solve(model)
         assert solution.status == "optimal" and solution.iterations == 0
         assert solution.objective_value == 0.0
-        assert calls == {"dgetrf": 2, "dgetri": 0}
+        assert calls == {"dgetrf": 1, "dgetri": 0}
+        assert solution.phase_iterations == (0, 0)
 
     def test_refactor_inverts_a_symmetric_basis(self):
         # factor and invert in place (dgetrf, then dgetri on first use); a
@@ -324,13 +332,113 @@ class TestCrashBasis:
         assert np.allclose(state.inverse(), [[0.0, 1.0], [1.0, -1.0]])
         assert np.allclose(state.x_basic, [1.0, 1.0])
 
-    def test_models_without_zero_rows_start_all_artificial(self):
-        p = generators.general_position(2, 3, 2, seed=5)
-        model = build_general(p)
+
+def reference_greedy(model):
+    """The greedy start by a plain loop over columns in (cost, index)
+    order: {basis position: (column, value)}."""
+    A = model.constraints.tocsc()
+    remaining = model.rhs.tolist()
+    alive = set(range(model.num_constraints))
+    start = {}
+    for c in sorted(range(model.num_vars), key=lambda c: (model.objective[c], c)):
+        rows = A.indices[A.indptr[c] : A.indptr[c + 1]].tolist()
+        if not set(rows) <= alive:
+            continue
+        take = min(remaining[r] for r in rows)
+        for r in rows:
+            remaining[r] -= take
+        exhausted = [r for r in rows if remaining[r] <= FEAS_TOL]
+        start[exhausted[0]] = (c, take)
+        alive -= set(exhausted)
+    return start
+
+
+def greedy_instance(name):
+    if name == "gp-random-weights":
+        return generators.general_position(2, 3, 2, seed=5, random_weights=True)
+    if name == "uniform-masses":
+        return problem(
+            [measure([[0.0], [1.0]]), measure([[0.0], [3.0]]), measure([[1.0], [2.0], [4.0]])]
+        )
+    if name == "full-grid":
+        return generators.grid(2, 3, 1, seed=8)
+    if name == "mixed":
+        return generators.mixed(2, 1, 2, seed=3)
+    if name == "n=1":
+        return problem([measure([[0.0], [1.0], [5.0], [2.0]], [0.1, 0.4, 0.3, 0.2])])
+    # n = 2: the transportation problem
+    return problem([
+        measure([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]], [0.5, 0.25, 0.25]),
+        measure([[2.0, 2.0], [0.0, 1.0], [1.0, 0.0], [4.0, 4.0]], [0.1, 0.2, 0.3, 0.4]),
+    ])
+
+
+GREEDY_INSTANCES = ["gp-random-weights", "uniform-masses", "full-grid", "mixed", "n=1", "n=2"]
+
+
+class TestGreedyStart:
+    def test_fixed_transport_models_start_greedy(self):
+        model = build_general(generators.general_position(2, 3, 2, seed=5))
         state = _Simplex(model, 100)
-        assert np.array_equal(state.basis, np.arange(state.nv, state.nv + state.m))
-        assert not state.in_basis.any()
-        assert np.array_equal(state.x_basic, model.rhs)
+        expected = reference_greedy(model)
+        started = {pos: int(var) for pos, var in enumerate(state.basis) if var < state.nv}
+        assert started == {pos: c for pos, (c, _) in expected.items()}
+        assert state.in_basis.sum() == len(expected)
+        values = np.array([take for _, take in expected.values()])
+        assert np.allclose(state.x_basic[list(expected)], values, atol=1e-12)
+
+    @pytest.mark.parametrize("name", GREEDY_INSTANCES)
+    def test_start_is_feasible_and_skips_phase_1(self, name):
+        from barylp.oracle import basis_enumeration_solve
+
+        model = build_general(greedy_instance(name))
+        state = _Simplex(model, 100)
+        started = {pos: int(var) for pos, var in enumerate(state.basis) if var < state.nv}
+        assert started == {pos: c for pos, (c, _) in reference_greedy(model).items()}
+        full = sp.hstack([model.constraints, sp.identity(state.m)], format="csc")
+        assert np.linalg.matrix_rank(full[:, state.basis].toarray()) == state.m
+        assert state.x_basic.min() >= -FEAS_TOL
+        assert state.infeasibility() <= state.feas_threshold
+
+        solution = solve(model)
+        assert solution.status == "optimal"
+        assert solution.phase_iterations[0] == 0
+        assert sum(solution.phase_iterations) <= solution.iterations
+        reference = basis_enumeration_solve(model)
+        assert solution.objective_value == pytest.approx(reference.value, abs=1e-12)
+        assert_vertex(model, solution)
+
+    def test_disagreeing_marginals_are_infeasible_through_phase_1(self, monkeypatch):
+        model = build_general(greedy_instance("n=2"))
+        rhs = model.rhs.copy()
+        rhs[model.marginal[:, 0] == 0] *= 1.5  # measure 0 now has mass 1.5
+        model = replace(model, rhs=rhs)
+        state = _Simplex(model, 100)
+        assert state.in_basis.any()
+        assert state.infeasibility() > state.feas_threshold
+
+        phases = []
+        run_phase = _Simplex.run_phase
+
+        def recording_phase(self, phase):
+            phases.append(phase)
+            return run_phase(self, phase)
+
+        monkeypatch.setattr(_Simplex, "run_phase", recording_phase)
+        assert solve(model).status == "infeasible"
+        assert phases == [1]
+
+    @pytest.mark.parametrize("instance", ["gp", "mixed"])
+    def test_only_fixed_transport_matrices_start_greedy(self, instance):
+        if instance == "gp":
+            p = generators.general_position(3, 2, 2, seed=4)
+        else:
+            p = generators.mixed(3, 3, 1, seed=7)
+        atlas = build_atlas_exact(p)
+        hybrid = build_hybrid(atlas, hybrid_split(atlas), p)
+        # general position puts no candidate on y, so its hybrid is all w
+        assert _Simplex(hybrid, 100).fixed_transport() == (instance == "gp")
+        assert not _Simplex(build_reduced(atlas, p), 100).fixed_transport()
 
 
 class TestCrossFormulation:
