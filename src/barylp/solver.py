@@ -22,6 +22,18 @@ a permutation that basis is [[D, 0], [E, I]], so its inverse
 when the start's artificials carry mass, which the greedy start of a
 model with balanced marginals does not.
 
+A greedy-started model prices only a working set of its columns, in the
+master/pricing split of column generation: the set starts as the greedy
+basis, and when no column in it prices below ``-OPT_TOL`` one sweep over
+every column adds the ``REFILL_PER_ROW * m`` most negative ones outside
+it.  A phase ends only when a sweep on the duals of a fresh factorization
+finds none, so the optimality check covers every column.  The set only
+grows and stays sorted, so refills are finitely many and Bland's rule
+still terminates between them.  On the general-position shapes the final
+set holds about 5% of the columns or less.  A crash-started model prices
+every column at every pivot, with no indexing through a set: those models
+have many rows for their columns, and a set cost them more than it saved.
+
 Pivots take the most negative reduced cost, and among columns within
 ``OPT_TOL`` of it the cheapest, then the lowest index, so phase 1 ends at
 a vertex chosen with the cost in view.  A long degenerate streak, a sign
@@ -53,6 +65,8 @@ OPT_TOL = 1e-9
 PIVOT_TOL = 1e-10
 DROP_THRESHOLD = 1e-11
 REFACTOR_EVERY = 200
+# columns a sweep adds to a working set, per constraint row
+REFILL_PER_ROW = 4
 MAX_BASIS_BYTES = 1 << 30  # 8 m^2 bytes of dense basis: m <= 11585
 
 
@@ -70,6 +84,9 @@ class LpSolution:
     ``phase_iterations`` counts the pivots of phase 1 and of phase 2;
     ``iterations`` is the total, which also counts the pivots that take
     leftover artificials out of the basis between the phases.
+    ``working_set`` is the number of columns priced at the end of the
+    solve: every column unless the model started greedy, and 0 when the
+    model was refused as too large.
     """
 
     # optimal | infeasible | unbounded | iteration-limit | numeric-failure | too-large
@@ -79,6 +96,7 @@ class LpSolution:
     basis: np.ndarray  # int64
     iterations: int
     phase_iterations: tuple[int, int] = (0, 0)
+    working_set: int = 0
 
     @property
     def ok(self) -> bool:
@@ -118,8 +136,11 @@ class _Simplex:
         self._cycle_guard = 1000 + 2 * (self.m + self.nv)
         self._duals = None  # maintained incrementally, exact after refactor
         self.feas_threshold = FEAS_TOL * (1.0 + float(np.abs(b).sum()))
+        # the sorted columns priced, or None for every column
+        self.working: np.ndarray | None = None
         if self.fixed_transport():
             self.greedy(model.constraints.tocsr())
+            self.working = np.flatnonzero(self.in_basis)
         else:
             self.crash()
 
@@ -274,7 +295,10 @@ class _Simplex:
     def run_phase(self, phase: int) -> str:
         """Price-and-pivot until the phase objective is optimal.  Duals are
         updated incrementally between refactors; apparent optimality is
-        re-checked once against duals from a fresh factorization."""
+        re-checked once against duals from a fresh factorization.  With a
+        working set only its columns are priced, and at their optimum a
+        sweep over every column on those fresh duals refills the set; the
+        phase ends when the sweep finds no column to add."""
         self._duals = None
         verified = False
         # the phase's costs of the model variables, then of the artificials
@@ -282,21 +306,29 @@ class _Simplex:
             (np.zeros(self.nv), np.ones(self.m)) if phase == 1
             else (self.cost, np.zeros(self.m))
         )
+        if self.working is not None:
+            # cleanup_artificials may have pivoted in a column from outside
+            self.working = np.union1d(self.working, self.basis[self.basis < self.nv])
+        priced, A_T, model_cost, slot = self._priced(costs)
         while True:
             if self.iterations >= self.max_iters:
                 return "iteration-limit"
             if self._duals is None:
                 self._duals = self._solve(costs[self.basis], trans=1)
-            reduced = costs[:self.nv] - self.A_T @ self._duals
+            reduced = priced - A_T @ self._duals
             # basic columns price at 0; scattering over the m basis positions
             # is cheaper than a mask over every column
-            reduced[self.basis[self.basis < self.nv]] = 0.0
+            basic = self.basis[self.basis < self.nv]
+            reduced[basic if slot is None else slot[basic]] = 0.0
             entering = int(np.argmin(reduced))
             if reduced[entering] >= -OPT_TOL:
-                if verified:
+                if not verified:
+                    self.refactor()
+                    verified = True
+                    continue
+                if self.working is None or not self.refill(costs):
                     return "optimal"
-                self.refactor()
-                verified = True
+                priced, A_T, model_cost, slot = self._priced(costs)
                 continue
             verified = False
             if self.bland:
@@ -307,7 +339,10 @@ class _Simplex:
                 near = np.flatnonzero(reduced <= reduced[entering] + OPT_TOL)
                 if near.size > 1:
                     near = near[reduced[near] < -OPT_TOL]
-                    entering = int(near[np.argmin(self.cost[near])])
+                    entering = int(near[np.argmin(model_cost[near])])
+            d_entering = float(reduced[entering])
+            if self.working is not None:
+                entering = int(self.working[entering])
 
             u = self.column(entering)
             blockers = np.nonzero(u > PIVOT_TOL)[0]
@@ -318,8 +353,34 @@ class _Simplex:
             best = float(np.min(ratios))
             ties = blockers[ratios <= best + 1e-12]
             leave_pos = int(ties[np.argmin(self.basis[ties])])
-            self.apply_pivot(entering, leave_pos, u, float(reduced[entering]))
+            self.apply_pivot(entering, leave_pos, u, d_entering)
             self.phase_iterations[phase - 1] += 1
+
+    def _priced(self, costs: np.ndarray):
+        """What pricing reads of the priced columns, in working-set order:
+        their phase costs, their rows of A^T and their model costs, and the
+        position of every column among them (None when all are priced)."""
+        if self.working is None:
+            return costs[:self.nv], self.A_T, self.cost, None
+        slot = np.full(self.nv, -1, dtype=np.int64)
+        slot[self.working] = np.arange(len(self.working))
+        return costs[self.working], self.A_T[self.working], self.cost[self.working], slot
+
+    def refill(self, costs: np.ndarray) -> bool:
+        """Sweep every column on the current duals and add to the working
+        set the ``REFILL_PER_ROW * m`` outside it that price lowest below
+        ``-OPT_TOL``; False when no column outside it does."""
+        reduced = costs[:self.nv] - self.A_T @ self._duals
+        reduced[self.working] = 0.0  # the set holds the basic columns
+        entering = np.flatnonzero(reduced < -OPT_TOL)
+        if entering.size == 0:
+            return False
+        keep = REFILL_PER_ROW * self.m
+        if entering.size > keep:
+            entering = entering[np.argpartition(reduced[entering], keep - 1)[:keep]]
+        # disjoint from the set, so a sort merges the two
+        self.working = np.sort(np.concatenate((self.working, entering)))
+        return True
 
     def cleanup_artificials(self) -> None:
         """Pivot leftover artificials out; drop the rows that cannot.
@@ -361,6 +422,7 @@ class _Simplex:
         return LpSolution(
             status, objective, values, self.basis.copy(), self.iterations,
             tuple(self.phase_iterations),
+            self.nv if self.working is None else len(self.working),
         )
 
     def infeasibility(self) -> float:

@@ -254,7 +254,7 @@ def build_atlas_exact(
     scaled_points = np.concatenate(chunk_means)[first]
 
     # Canonical indexing: sort candidates lexicographically by coordinate.
-    order = np.lexsort(scaled_points.T[::-1])
+    order = _lexsort_rows(scaled_points)
     npts = len(order)
     relabel = np.empty(npts, dtype=np.int64)
     relabel[order] = np.arange(npts)
@@ -388,13 +388,40 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the sorted distinct rows, each one's first index and every row's label.
     A stable lexsort and a neighbour compare do it faster than the
     structured-view sort of ``np.unique``."""
-    order = np.lexsort(rows.T[::-1])
+    order = _lexsort_rows(rows)
     ordered = rows[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     inverse = np.empty(len(rows), dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
     return ordered[new], order[new], inverse
+
+
+def _lexsort_rows(rows: np.ndarray) -> np.ndarray:
+    """``np.lexsort(rows.T[::-1])``: the stable order of the rows by first
+    column, then second, and so on.  A quicksort of the first column
+    leaves only its runs of equal values to lexsort, each run's rows first
+    put back in index order so that the result stays stable.  When a probe
+    of about 256 evenly spaced values of that column already holds ties,
+    the runs would cover most rows, and one lexsort of all is cheaper; so
+    it is below 512 rows, where the probe costs about what it can save."""
+    if len(rows) < 512 or rows.shape[1] < 2:
+        return np.lexsort(rows.T[::-1])
+    first = rows[:, 0]
+    probe = np.sort(first[:: len(first) // 256])
+    if not (probe[1:] > probe[:-1]).all():
+        return np.lexsort(rows.T[::-1])
+    order = np.argsort(first)
+    key = first[order]
+    # not greater, rather than equal: NaNs sort last and tie with each other
+    tie = ~(key[1:] > key[:-1])
+    in_run = np.zeros(len(rows), dtype=bool)
+    in_run[1:] = tie
+    in_run[:-1] |= tie
+    if in_run.any():
+        run = np.sort(order[in_run])
+        order[in_run] = run[np.lexsort(rows[run].T[::-1])]
+    return order
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:
@@ -463,8 +490,12 @@ def hybrid_split(atlas: SupportAtlas) -> HybridSplit:
         budgets = np.full(atlas.point_count, n * K ** atlas.fine_grid.dim + 1, dtype=np.int64)
     else:
         budgets = np.diff(atlas.source_indptr).astype(np.int64) + 1
-    # grid multiplicities may pass 2**63, so compare them as Python ints
-    on_y = np.array(
-        [m > b for m, b in zip(atlas.multiplicity, budgets.tolist())], dtype=bool
-    )
+    if atlas.combination_total < 2**63:
+        multiplicity = np.fromiter(atlas.multiplicity, np.int64, atlas.point_count)
+        on_y = multiplicity > budgets
+    else:
+        # grid multiplicities may pass 2**63, so compare them as Python ints
+        on_y = np.array(
+            [m > b for m, b in zip(atlas.multiplicity, budgets.tolist())], dtype=bool
+        )
     return HybridSplit(on_y=on_y, budgets=budgets)

@@ -29,6 +29,21 @@ def assert_atlases_equal(grid, exact, p):
     assert np.array_equal(grid.combination_candidates(p), exact.combination_candidates(p))
 
 
+def assert_optimal_on_every_column(model, solution, tol=1e-9):
+    """An optimality certificate independent of the columns the solver
+    priced: duals recovered from the final basis by least squares on
+    B^T y = c_B leave no column of the model a reduced cost below -tol."""
+    basis = solution.basis
+    assert basis.size and (basis < model.num_vars).all()
+    A = model.constraints.tocsc()
+    cost = np.asarray(model.objective, dtype=np.float64)
+    B_T = A[:, basis].T.toarray()
+    duals = np.linalg.lstsq(B_T, cost[basis], rcond=None)[0]
+    assert np.abs(B_T @ duals - cost[basis]).max() <= tol
+    reduced = cost - A.T @ duals
+    assert reduced.min() >= -tol, (int(np.argmin(reduced)), float(reduced.min()))
+
+
 @pytest.fixture
 def twin_grid_problem():
     """Two copies of the measure on {0, 2} with equal masses.

@@ -18,7 +18,12 @@ from barylp.models import build_general, build_hybrid, build_original, build_red
 from barylp.solver import extract_barycenter, solve
 from barylp.support import build_atlas_exact, build_atlas_grid, hybrid_split
 
-from conftest import assert_atlases_equal, measure, problem
+from conftest import (
+    assert_atlases_equal,
+    assert_optimal_on_every_column,
+    measure,
+    problem,
+)
 
 OBJECTIVE_TOL = 1e-8
 
@@ -76,6 +81,7 @@ def test_formulations_agree_with_general(p):
     assert reference.status == "optimal"
     # the greedy start of a fixed-transport model is feasible
     assert reference.phase_iterations[0] == 0
+    assert_optimal_on_every_column(general, reference)
     assert_all_checks_pass(extract_barycenter(reference, general, p))
 
     atlases = [build_atlas_exact(p)]

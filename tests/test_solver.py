@@ -32,7 +32,7 @@ from barylp.solver import (
 )
 from barylp.support import build_atlas_exact, build_atlas_grid, hybrid_split
 
-from conftest import measure, problem
+from conftest import assert_optimal_on_every_column, measure, problem
 
 
 def raw_model(cost, dense, rhs, formulation="general"):
@@ -163,6 +163,8 @@ class TestSolve:
         assert [state.bland for state in states] == [True]
         assert solution.status == "optimal"
         assert solution.objective_value == pytest.approx(reference.value, abs=1e-9)
+        # a crash start prices every column
+        assert solution.working_set == model.num_vars
 
     def test_combination_ordinals_decode_round_trip(self):
         import itertools
@@ -407,6 +409,7 @@ class TestGreedyStart:
         reference = basis_enumeration_solve(model)
         assert solution.objective_value == pytest.approx(reference.value, abs=1e-12)
         assert_vertex(model, solution)
+        assert_optimal_on_every_column(model, solution)
 
     def test_disagreeing_marginals_are_infeasible_through_phase_1(self, monkeypatch):
         model = build_general(greedy_instance("n=2"))
@@ -439,6 +442,50 @@ class TestGreedyStart:
         # general position puts no candidate on y, so its hybrid is all w
         assert _Simplex(hybrid, 100).fixed_transport() == (instance == "gp")
         assert not _Simplex(build_reduced(atlas, p), 100).fixed_transport()
+
+
+class TestWorkingSet:
+    def test_fixed_transport_models_price_a_small_set(self):
+        p = generators.general_position(4, 12, 2, seed=1)
+        atlas = build_atlas_exact(p)
+        split = hybrid_split(atlas)
+        assert not split.on_y.any()
+        for model in (build_general(p), build_hybrid(atlas, split, p)):
+            solution = solve(model)
+            assert solution.status == "optimal"
+            assert solution.working_set < model.num_vars / 10, model.formulation
+            assert_optimal_on_every_column(model, solution)
+
+    @pytest.mark.parametrize("formulation", ["original", "reduced", "hybrid"])
+    def test_crash_started_models_price_every_column(self, formulation):
+        model = crash_model("grid", formulation)
+        if formulation == "hybrid":
+            assert len(model.y), "some candidate is on y"
+        solution = solve(model)
+        assert solution.status == "optimal"
+        assert solution.working_set == model.num_vars
+
+    def test_refills_reach_the_optimum_of_every_column(self, monkeypatch):
+        # m columns per refill: several sweeps, each must find columns the
+        # set lacks, and the last must find none
+        monkeypatch.setattr(solver, "REFILL_PER_ROW", 1)
+        p = generators.general_position(3, 4, 2, seed=2)
+        model = build_general(p)
+        sweeps = []
+        refill = _Simplex.refill
+
+        def recording_refill(self, costs):
+            sweeps.append(refill(self, costs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(_Simplex, "refill", recording_refill)
+        solution = solve(model)
+        assert solution.status == "optimal"
+        assert sweeps.count(True) > 1 and sweeps[-1] is False
+        assert solution.objective_value == pytest.approx(
+            solve(build_reduced(build_atlas_exact(p), p)).objective_value, abs=1e-12
+        )
+        assert_optimal_on_every_column(model, solution)
 
 
 class TestCrossFormulation:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barylp import generators
 from barylp.measures import GridSpec, InvariantError
@@ -18,6 +20,7 @@ from barylp.support import (
     combination_chunks,
     count_dice,
     hybrid_split,
+    _lexsort_rows,
 )
 
 from conftest import assert_atlases_equal, measure, problem
@@ -198,6 +201,35 @@ class TestExactAtlas:
                 j = nearest_candidate(atlas, mean)
                 assert atlas.support_points[j] == pytest.approx(mean, abs=1e-9)
                 assert not split.on_y[j], atlas.regime
+
+
+@st.composite
+def tied_rows(draw):
+    """Integer-valued float rows, some zeros as -0.0, whose later columns
+    tie heavily.  The first column ties heavily, or holds distinct values
+    but a few copied to other rows: ties an evenly spaced probe may miss."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([0, 1, 511, 512, 2000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, 2, (n, d)).astype(np.float64)
+    if draw(st.booleans()):
+        rows[:, 0] = rng.integers(0, draw(st.sampled_from([1, 3, 50])), n)
+    else:
+        rows[:, 0] = rng.permutation(n) * 7.0
+        into = rng.random(n) < draw(st.sampled_from([0.002, 0.01]))
+        rows[into, 0] = rows[rng.integers(0, n, into.sum()), 0]
+    # -0.0 ties 0.0, so the sort must keep the two in index order
+    rows[(rows == 0.0) & (rng.random((n, d)) < 0.5)] = -0.0
+    return rows
+
+
+class TestLexsortRows:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tied_rows())
+    def test_equals_lexsort(self, rows):
+        order = _lexsort_rows(rows)
+        assert np.array_equal(order, np.lexsort(rows.T[::-1]))
+        assert order.dtype == np.intp
 
 
 class TestGridAtlas:
