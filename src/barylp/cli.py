@@ -1,5 +1,12 @@
 """Command-line front end: solve, sizes, compare, export, render, gen.
 
+The data choose the candidate atlas; no flag does.  ``solve``, ``compare``
+and ``export`` build the grid atlas when the measures share a lattice,
+declared by grid-csv input or detected, with uniform weights, and its
+refined lattice is no larger than the combination stream; otherwise they
+enumerate the combinations (the exact regime).  On lattice data both give
+the same atlas.
+
 Summaries go to stdout and are byte-reproducible for fixed inputs and
 flags; wall-clock timings go to stderr.  Exit codes: 0 success, 2 input or
 configuration error, 3 combination blowup, 4 solver failure.
@@ -8,11 +15,11 @@ configuration error, 3 combination blowup, 4 solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 from . import generators
 from .measures import (
@@ -36,7 +43,6 @@ from .models import (
 from .solver import export_mps, extract_barycenter, solution_json, solve
 from .support import (
     DEFAULT_COMBINATION_CAP,
-    DEFAULT_DEDUP_TOL,
     CombinationBlowupError,
     SupportAtlas,
     build_atlas_exact,
@@ -54,18 +60,6 @@ FORMULATIONS = ("original", "reduced", "general", "hybrid")
 # transportation never do
 ATLAS_FORMULATIONS = ("original", "reduced", "hybrid")
 MAX_DETECTED_SIDE = 1024
-
-
-@dataclass
-class RunConfig:
-    """Resolved CLI options controlling one pipeline run."""
-
-    regime: str = "auto"
-    dedup_tol: float = DEFAULT_DEDUP_TOL
-    cap: int = DEFAULT_COMBINATION_CAP
-    max_iters: int = 100_000
-    out: str | None = None
-    fmt: str = "json"
 
 
 class CliError(Exception):
@@ -93,12 +87,13 @@ def detect_grid(problem: Problem, tol: float = 1e-9) -> GridSpec | None:
     """Best-effort common-lattice detection (exact decision is hard).
 
     Rationalizes coordinates against the gcd of offsets from the per-axis
-    minimum; requires uniform weights and a sane lattice side.
+    minimum; requires uniform weights, as the grid atlas does (for a
+    declared lattice too), and a sane lattice side.
     """
+    if not problem.has_uniform_weights():
+        return None
     if problem.grid is not None:
         return problem.grid
-    if not problem.has_uniform_weights(1e-9):
-        return None
     d = problem.dimension
     origins = []
     offsets = []
@@ -126,45 +121,33 @@ def detect_grid(problem: Problem, tol: float = 1e-9) -> GridSpec | None:
     return GridSpec(dim=d, side=side, origin=tuple(origins), step=step)
 
 
-def _lattice(problem: Problem, config: RunConfig) -> GridSpec | None:
+def _lattice(problem: Problem, cap: int) -> GridSpec | None:
     """The lattice the grid regime builds on, or None for the exact regime."""
-    regime = config.regime
-    if regime == "auto":
-        spec = detect_grid(problem)
-        if spec is not None and problem.has_uniform_weights():
-            # the lattice path only pays off while the refined grid stays
-            # smaller than the combination stream
-            refined = (problem.n * (spec.side - 1) + 1) ** spec.dim
-            if refined <= min(config.cap, problem.combination_total()):
-                return spec
-            print(
-                "note: detected lattice is finer than the combination stream, "
-                "using exact regime",
-                file=sys.stderr,
-            )
-        elif spec is None:
-            print("note: no common lattice detected, using exact regime", file=sys.stderr)
+    spec = detect_grid(problem)
+    if spec is None:
+        print("note: no common lattice detected, using exact regime", file=sys.stderr)
         return None
-    if regime == "grid":
-        spec = detect_grid(problem)
-        if spec is None:
-            raise CliError(EXIT_INPUT, "grid regime requires grid metadata or a detectable lattice")
+    # the lattice path only pays off while the refined grid stays
+    # smaller than the combination stream
+    refined = (problem.n * (spec.side - 1) + 1) ** spec.dim
+    if refined <= min(cap, problem.combination_total()):
         return spec
-    if regime == "exact":
-        return None
-    raise CliError(EXIT_INPUT, f"unknown regime {regime!r}")
+    print(
+        "note: detected lattice is finer than the combination stream, "
+        "using exact regime",
+        file=sys.stderr,
+    )
+    return None
 
 
-def _resolve_atlas(
-    problem: Problem, config: RunConfig, names
-) -> tuple[str, SupportAtlas | None]:
+def _resolve_atlas(problem: Problem, cap: int, names) -> tuple[str, SupportAtlas | None]:
     """The atlas regime, and the atlas itself when one of the formulations
     ``names`` reads it (None otherwise)."""
-    spec = _lattice(problem, config)
+    spec = _lattice(problem, cap)
     if not any(name in ATLAS_FORMULATIONS for name in names):
         atlas = None
     elif spec is None:
-        atlas = build_atlas_exact(problem, config.dedup_tol, config.cap)
+        atlas = build_atlas_exact(problem, cap)
     else:
         atlas = build_atlas_grid(problem, spec)
     return ("exact" if spec is None else "grid"), atlas
@@ -175,10 +158,7 @@ def _candidate_count(atlas: SupportAtlas | None) -> str:
 
 
 def _build_model(
-    formulation: str,
-    problem: Problem,
-    atlas: SupportAtlas | None,
-    config: RunConfig,
+    formulation: str, problem: Problem, atlas: SupportAtlas | None, cap: int
 ) -> LpModel:
     if formulation == "original":
         return build_original(atlas, problem)
@@ -186,18 +166,25 @@ def _build_model(
         return build_reduced(atlas, problem)
     if formulation in ("general", "transportation"):
         # transportation is general with n = 2 (_select_formulations checks n)
-        return build_general(problem, config.cap)
+        return build_general(problem, cap)
     if formulation == "hybrid":
-        return build_hybrid(atlas, hybrid_split(atlas), problem, config.cap)
+        return build_hybrid(atlas, hybrid_split(atlas), problem, cap)
     raise CliError(EXIT_INPUT, f"unknown formulation {formulation!r}")
 
 
-def _load(config: RunConfig, inputs: list[str]) -> Problem:
-    if config.fmt == "json":
-        if len(inputs) != 1:
-            raise CliError(EXIT_INPUT, "JSON problems take exactly one input file")
-        return load_problem(inputs[0], "json")
-    return load_problem(inputs, "grid-csv")
+def _load(fmt: str, inputs: list[str]) -> Problem:
+    """Read the input files and parse them; the files are opened here, so
+    a missing or unreadable one raises its ``OSError`` instead of being
+    parsed as literal content."""
+    if fmt == "json" and len(inputs) != 1:
+        raise CliError(EXIT_INPUT, "JSON problems take exactly one input file")
+    contents = []
+    for path in inputs:
+        with open(path, "rb") as fh:
+            contents.append(fh.read())
+    if fmt == "json":
+        return load_problem(contents[0], "json")
+    return load_problem(contents, "grid-csv")
 
 
 def _select_formulations(flag: str, problem: Problem) -> tuple[str, ...]:
@@ -208,13 +195,15 @@ def _select_formulations(flag: str, problem: Problem) -> tuple[str, ...]:
     return (flag,)
 
 
-def _run(name: str, problem: Problem, atlas: SupportAtlas | None, config: RunConfig):
+def _run(
+    name: str, problem: Problem, atlas: SupportAtlas | None, cap: int, max_iters: int
+):
     """Build and solve one formulation, timing both on stderr; extract the
     barycenter when the solve is optimal (otherwise it is None)."""
     t0 = time.perf_counter()
-    model = _build_model(name, problem, atlas, config)
+    model = _build_model(name, problem, atlas, cap)
     t1 = time.perf_counter()
-    solution = solve(model, max_iters=config.max_iters)
+    solution = solve(model, max_iters=max_iters)
     t2 = time.perf_counter()
     print(f"[time] {name} build {t1 - t0:.3f}s solve {t2 - t1:.3f}s", file=sys.stderr)
     if solution.status != "optimal":
@@ -227,10 +216,9 @@ def _run(name: str, problem: Problem, atlas: SupportAtlas | None, config: RunCon
 
 
 def cmd_solve(args) -> int:
-    config = _config_from(args)
-    problem = _load(config, args.input)
+    problem = _load(args.format, args.input)
     formulations = _select_formulations(args.formulation, problem)
-    regime, atlas = _resolve_atlas(problem, config, formulations)
+    regime, atlas = _resolve_atlas(problem, args.cap, formulations)
 
     print(f"measures: n={problem.n} sizes={list(problem.sizes)} d={problem.dimension}")
     print(f"combinations |S*|: {problem.combination_total()}")
@@ -238,7 +226,7 @@ def cmd_solve(args) -> int:
     bound = sum(problem.sizes) - problem.n + 1
     failures = 0
     for name in formulations:
-        model, solution, bary = _run(name, problem, atlas, config)
+        model, solution, bary = _run(name, problem, atlas, args.cap, args.max_iters)
         print(f"formulation: {name}")
         print(f"  model: {model.num_vars} vars, {model.num_constraints} rows, {model.num_nonzeros} nonzeros")
         print(f"  status: {solution.status}")
@@ -248,12 +236,8 @@ def cmd_solve(args) -> int:
         print(f"  objective: {solution.objective_value:.10g}")
         print(f"  support size: {len(bary.support)} (sparsity bound {bound})")
         print(f"  checks: {bary.verification.summary()}")
-        if config.out:
-            path = (
-                config.out
-                if len(formulations) == 1
-                else _suffixed(config.out, name)
-            )
+        if args.out:
+            path = args.out if len(formulations) == 1 else _suffixed(args.out, name)
             with open(path, "w") as fh:
                 fh.write(solution_json(solution, bary))
     return EXIT_SOLVER if failures else EXIT_OK
@@ -266,10 +250,9 @@ def _suffixed(path: str, name: str) -> str:
 
 
 def cmd_compare(args) -> int:
-    config = _config_from(args)
-    problem = _load(config, args.input)
+    problem = _load(args.format, args.input)
     formulations = _select_formulations(args.formulation, problem)
-    regime, atlas = _resolve_atlas(problem, config, formulations)
+    regime, atlas = _resolve_atlas(problem, args.cap, formulations)
     bound = sum(problem.sizes) - problem.n + 1
 
     print(f"measures: n={problem.n} sizes={list(problem.sizes)} d={problem.dimension}")
@@ -279,7 +262,7 @@ def cmd_compare(args) -> int:
     objectives = {}
     support_ok = True
     for name in formulations:
-        model, solution, bary = _run(name, problem, atlas, config)
+        model, solution, bary = _run(name, problem, atlas, args.cap, args.max_iters)
         if bary is None:
             # the status takes the objective column; the spread skips it
             objective = f"{solution.status:>16}"
@@ -350,13 +333,12 @@ def _reduction_line(src: str, dst: str, n: int, p: int | None) -> str:
 
 
 def cmd_export(args) -> int:
-    config = _config_from(args)
-    problem = _load(config, args.input)
+    problem = _load(args.format, args.input)
     names = _select_formulations(args.formulation, problem)
-    _, atlas = _resolve_atlas(problem, config, names)
-    prefix = config.out or "model"
+    _, atlas = _resolve_atlas(problem, args.cap, names)
+    prefix = args.out or "model"
     for name in names:
-        model = _build_model(name, problem, atlas, config)
+        model = _build_model(name, problem, atlas, args.cap)
         path = prefix if prefix.endswith(".mps") and len(names) == 1 else f"{prefix}-{name}.mps"
         export_mps(model, path)
         print(f"wrote {path}: {model.num_constraints} rows, {model.num_vars} columns")
@@ -466,33 +448,21 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        regime=args.regime,
-        dedup_tol=args.tol,
-        cap=args.cap,
-        max_iters=args.max_iters,
-        out=args.out,
-        fmt=args.format,
-    )
-
-
 def _add_pipeline_flags(sub):
-    defaults = RunConfig()
     sub.add_argument("--formulation", default="all",
                      choices=("original", "reduced", "general", "hybrid", "transportation", "all"))
-    sub.add_argument("--regime", default=defaults.regime, choices=("auto", "exact", "grid"))
-    sub.add_argument("--tol", type=float, default=defaults.dedup_tol,
-                     help="mean deduplication tolerance")
-    sub.add_argument("--cap", type=int, default=defaults.cap,
+    sub.add_argument("--cap", type=int, default=DEFAULT_COMBINATION_CAP,
                      help="combination count guard")
-    sub.add_argument("--max-iters", dest="max_iters", type=int, default=defaults.max_iters)
-    sub.add_argument("--out", default=defaults.out)
-    sub.add_argument("--format", default=defaults.fmt, choices=("json", "grid-csv"))
+    sub.add_argument("--max-iters", dest="max_iters", type=int, default=100_000)
+    sub.add_argument("--out", default=None)
+    sub.add_argument("--format", default="json", choices=("json", "grid-csv"))
     sub.add_argument("input", nargs="+")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    about 25 parses, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="barylp",
                                      description="Discrete barycenters via sparse LPs")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -541,8 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

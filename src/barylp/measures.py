@@ -192,13 +192,15 @@ def _as_text(source) -> str:
                 return fh.read().decode("utf-8")
         except (OSError, ValueError):
             pass  # treat as literal content below
+    if hasattr(source, "read"):
+        source = source.read()
     if isinstance(source, bytes):
-        return source.decode("utf-8")
+        try:
+            return source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 text: {exc}") from exc
     if isinstance(source, str):
         return source
-    if hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
     raise ParseError(f"unsupported source type {type(source).__name__}")
 
 

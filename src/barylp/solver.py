@@ -22,17 +22,18 @@ a permutation that basis is [[D, 0], [E, I]], so its inverse
 when the start's artificials carry mass, which the greedy start of a
 model with balanced marginals does not.
 
-A greedy-started model prices only a working set of its columns, in the
-master/pricing split of column generation: the set starts as the greedy
-basis, and when no column in it prices below ``-OPT_TOL`` one sweep over
-every column adds the ``REFILL_PER_ROW * m`` most negative ones outside
-it.  A phase ends only when a sweep on the duals of a fresh factorization
-finds none, so the optimality check covers every column.  The set only
-grows and stays sorted, so refills are finitely many and Bland's rule
-still terminates between them.  On the general-position shapes the final
-set holds about 5% of the columns or less.  A crash-started model prices
-every column at every pivot, with no indexing through a set: those models
-have many rows for their columns, and a set cost them more than it saved.
+Pricing reads a working set of columns, in the master/pricing split of
+column generation: when no column in it prices below ``-OPT_TOL``, one
+sweep over every column adds the ``REFILL_PER_ROW * m`` most negative
+ones outside it.  A phase ends only when a sweep on the duals of a fresh
+factorization finds none, so the optimality check covers every column.
+The set only grows and stays sorted, so refills are finitely many and
+Bland's rule still terminates between them.  A greedy-started model's set
+starts as the greedy basis; on the general-position shapes the final set
+holds about 5% of the columns or less.  A crash-started model's set
+starts as every column, so its sweeps never add one: those models have
+many rows for their columns, and a smaller set cost them more than it
+saved.
 
 Pivots take the most negative reduced cost, and among columns within
 ``OPT_TOL`` of it the cheapest, then the lowest index, so phase 1 ends at
@@ -136,13 +137,13 @@ class _Simplex:
         self._cycle_guard = 1000 + 2 * (self.m + self.nv)
         self._duals = None  # maintained incrementally, exact after refactor
         self.feas_threshold = FEAS_TOL * (1.0 + float(np.abs(b).sum()))
-        # the sorted columns priced, or None for every column
-        self.working: np.ndarray | None = None
+        # the sorted columns priced
         if self.fixed_transport():
             self.greedy(model.constraints.tocsr())
             self.working = np.flatnonzero(self.in_basis)
         else:
             self.crash()
+            self.working = np.arange(self.nv)
 
     def fixed_transport(self) -> bool:
         """Whether every right-hand side is positive and every column holds
@@ -295,10 +296,10 @@ class _Simplex:
     def run_phase(self, phase: int) -> str:
         """Price-and-pivot until the phase objective is optimal.  Duals are
         updated incrementally between refactors; apparent optimality is
-        re-checked once against duals from a fresh factorization.  With a
-        working set only its columns are priced, and at their optimum a
-        sweep over every column on those fresh duals refills the set; the
-        phase ends when the sweep finds no column to add."""
+        re-checked once against duals from a fresh factorization.  Only
+        the working set's columns are priced, and at their optimum a sweep
+        over every column on those fresh duals refills the set; the phase
+        ends when the sweep finds no column to add."""
         self._duals = None
         verified = False
         # the phase's costs of the model variables, then of the artificials
@@ -306,9 +307,8 @@ class _Simplex:
             (np.zeros(self.nv), np.ones(self.m)) if phase == 1
             else (self.cost, np.zeros(self.m))
         )
-        if self.working is not None:
-            # cleanup_artificials may have pivoted in a column from outside
-            self.working = np.union1d(self.working, self.basis[self.basis < self.nv])
+        # cleanup_artificials may have pivoted in a column from outside
+        self.working = np.union1d(self.working, self.basis[self.basis < self.nv])
         priced, A_T, model_cost, slot = self._priced(costs)
         while True:
             if self.iterations >= self.max_iters:
@@ -319,14 +319,14 @@ class _Simplex:
             # basic columns price at 0; scattering over the m basis positions
             # is cheaper than a mask over every column
             basic = self.basis[self.basis < self.nv]
-            reduced[basic if slot is None else slot[basic]] = 0.0
+            reduced[slot[basic]] = 0.0
             entering = int(np.argmin(reduced))
             if reduced[entering] >= -OPT_TOL:
                 if not verified:
                     self.refactor()
                     verified = True
                     continue
-                if self.working is None or not self.refill(costs):
+                if not self.refill(costs):
                     return "optimal"
                 priced, A_T, model_cost, slot = self._priced(costs)
                 continue
@@ -341,8 +341,7 @@ class _Simplex:
                     near = near[reduced[near] < -OPT_TOL]
                     entering = int(near[np.argmin(model_cost[near])])
             d_entering = float(reduced[entering])
-            if self.working is not None:
-                entering = int(self.working[entering])
+            entering = int(self.working[entering])
 
             u = self.column(entering)
             blockers = np.nonzero(u > PIVOT_TOL)[0]
@@ -359,9 +358,7 @@ class _Simplex:
     def _priced(self, costs: np.ndarray):
         """What pricing reads of the priced columns, in working-set order:
         their phase costs, their rows of A^T and their model costs, and the
-        position of every column among them (None when all are priced)."""
-        if self.working is None:
-            return costs[:self.nv], self.A_T, self.cost, None
+        position of every column among them (-1 outside the set)."""
         slot = np.full(self.nv, -1, dtype=np.int64)
         slot[self.working] = np.arange(len(self.working))
         return costs[self.working], self.A_T[self.working], self.cost[self.working], slot
@@ -421,8 +418,7 @@ class _Simplex:
             objective = -math.inf
         return LpSolution(
             status, objective, values, self.basis.copy(), self.iterations,
-            tuple(self.phase_iterations),
-            self.nv if self.working is None else len(self.working),
+            tuple(self.phase_iterations), len(self.working),
         )
 
     def infeasibility(self) -> float:
@@ -657,7 +653,8 @@ def extract_barycenter(
     weighted mean (merged under the atlas dedup rule when an atlas is
     supplied) and routed to each constituent point.  Dust below
     ``DROP_THRESHOLD`` is discarded and the remainder rescaled; the
-    discarded total is recorded in the verification report.
+    discarded total is recorded in the verification report, whose cost
+    check compares the plan's cost with the LP objective.
     """
     if solution.status != "optimal":
         raise ExtractionError(f"cannot extract from status {solution.status!r}")
@@ -734,7 +731,7 @@ def extract_barycenter(
         )
     )
     cost = _plan_cost(support, transport, problem)
-    report = _verify(support, transport, cost, problem, dropped)
+    report = _verify(support, transport, cost, solution.objective_value, problem, dropped)
     return BarycenterSolution(
         support=support,
         transport=transport,
@@ -745,14 +742,19 @@ def extract_barycenter(
 
 
 def verify_solution(bary: BarycenterSolution, problem: Problem) -> VerificationReport:
-    """Re-run all solution checks against a problem."""
+    """Re-run all solution checks against a problem; the cost check
+    recomputes the plan's cost and compares it with the stored one."""
     return _verify(
-        bary.support, bary.transport, bary.cost, problem,
-        bary.verification.dropped_mass,
+        bary.support, bary.transport, _plan_cost(bary.support, bary.transport, problem),
+        bary.cost, problem, bary.verification.dropped_mass,
     )
 
 
-def _verify(support, transport, cost, problem: Problem, dropped: float) -> VerificationReport:
+def _verify(
+    support, transport, cost: float, stored: float, problem: Problem, dropped: float
+) -> VerificationReport:
+    """The checks of a plan whose cost is ``cost``; the cost check compares
+    it with ``stored``, the value the solution claims for it."""
     total = math.fsum(mass for _, mass in support)
     received: dict[tuple[int, int], float] = {}
     targets: dict[tuple[int, int], int] = {}
@@ -764,15 +766,14 @@ def _verify(support, transport, cost, problem: Problem, dropped: float) -> Verif
     for i, m in enumerate(problem.measures):
         for k, target in enumerate(m.masses):
             worst = max(worst, abs(received.get((i, k), 0.0) - target))
-    recomputed = _plan_cost(support, transport, problem)
     bound = sum(problem.sizes) - problem.n + 1
     splits = sum(1 for count in targets.values() if count > 1)
     checks = (
         CheckResult("total-mass", abs(total - 1.0) <= 1e-8, f"sum {total:.12g}"),
         CheckResult("marginals", worst <= 1e-8, f"max deviation {worst:.3g}"),
         CheckResult(
-            "cost", abs(recomputed - cost) <= 1e-8,
-            f"stored {cost:.12g} recomputed {recomputed:.12g}",
+            "cost", abs(cost - stored) <= 1e-8 * max(1.0, abs(stored)),
+            f"stored {stored:.12g} recomputed {cost:.12g}",
         ),
         CheckResult(
             "sparsity", len(support) <= bound,

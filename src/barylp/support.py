@@ -30,7 +30,8 @@ import numpy as np
 from .measures import GridSpec, InvariantError, Problem
 
 DEFAULT_COMBINATION_CAP = 10**8
-DEFAULT_DEDUP_TOL = 1e-9
+# bucket size for merging means, relative to their coordinate span
+DEDUP_TOL = 1e-9
 
 _RATIONALIZE_DENOM_CAP = 10**6
 
@@ -103,7 +104,7 @@ class _Quantizer:
     position never collide.
     """
 
-    def __init__(self, problem: Problem, dedup_tol: float = DEFAULT_DEDUP_TOL):
+    def __init__(self, problem: Problem):
         fracs = [Fraction(w).limit_denominator(_RATIONALIZE_DENOM_CAP) for w in problem.weights]
         exact = all(abs(float(f) - w) <= 1e-12 for f, w in zip(fracs, problem.weights))
         denom = math.lcm(*(f.denominator for f in fracs)) if exact else 0
@@ -128,7 +129,7 @@ class _Quantizer:
                 for sw, m in zip(self.scaled_weights, problem.measures)
             )
             span = max(span, hi - lo)
-        self.quantum = float(dedup_tol) * span if span > 0.0 else 1.0
+        self.quantum = DEDUP_TOL * span if span > 0.0 else 1.0
 
     def keys(self, scaled_points: np.ndarray) -> np.ndarray:
         """Bucket key of every row of scaled points: each coordinate in
@@ -213,18 +214,14 @@ def _incidence(
     return np.searchsorted(j, np.arange(count + 1)), measure, g - offsets[measure]
 
 
-def build_atlas_exact(
-    problem: Problem,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-    cap: int = DEFAULT_COMBINATION_CAP,
-) -> SupportAtlas:
+def build_atlas_exact(problem: Problem, cap: int = DEFAULT_COMBINATION_CAP) -> SupportAtlas:
     """Enumerate every combination and deduplicate the weighted means.
 
     Means accumulate with the quantizer's scaled weights, so rational
     weights stay in integer arithmetic.  Each candidate keeps the mean of
     the first combination (by ordinal) that hits its key.
     """
-    quant = _Quantizer(problem, dedup_tol)
+    quant = _Quantizer(problem)
     # refuses over the cap before the combination-sized arrays below exist
     chunks = combination_chunks(problem, quant.scaled_weights, cap=cap)
     n = problem.n

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: commands, exit codes, reproducibility."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -174,6 +176,28 @@ class TestSolve:
         bad.write_text("{broken")
         assert main(["solve", str(bad)]) == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "grid-csv"])
+    def test_missing_input_reports_the_os_error(self, tmp_path, capsys, fmt):
+        # a missing path used to be parsed as literal content
+        missing = str(tmp_path / "missing")
+        assert main(["solve", "--format", fmt, missing]) == 2
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and missing in err
+
+    def test_non_utf8_input_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"measures": "\u00e9"}'.encode("latin-1"))
+        assert main(["solve", str(bad)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "export"])
+    @pytest.mark.parametrize("flag", [["--regime", "exact"], ["--tol", "1e-9"]])
+    def test_no_atlas_or_tolerance_flags(self, small_path, capsys, command, flag):
+        # the data choose the atlas and the dedup tolerance is a constant
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flag, small_path])
+        assert exc.value.code == 2
+
     def test_solution_written(self, forced_path, tmp_path, capsys):
         out_path = tmp_path / "solution.json"
         assert main(
@@ -239,27 +263,24 @@ class TestSolve:
         assert "finer than the combination stream" in captured.err
 
     def test_sparse_raster_pipeline(self, tmp_path, capsys):
-        # digit-style input: two sparse 8x8 rasters through the grid regime
+        # digit-style input: two sparse 8x8 rasters of 20 cells each; their
+        # 400 combinations outnumber the 225 points of the refined lattice,
+        # so the grid regime is chosen
         import numpy as np
 
         rng = np.random.default_rng(5)
         paths = []
         for i in range(2):
-            cells = {
-                (int(rng.integers(1, 9)), int(rng.integers(1, 9))) for _ in range(12)
-            }
+            cells = sorted(divmod(int(c), 8) for c in rng.choice(64, 20, replace=False))
             masses = rng.uniform(0.1, 1.0, len(cells))
             masses /= masses.sum()
             lines = ["8,2,0.0,0.0,1.0"] + [
-                f"{a},{b},{m:.17g}" for (a, b), m in zip(sorted(cells), masses)
+                f"{a + 1},{b + 1},{m:.17g}" for (a, b), m in zip(cells, masses)
             ]
             path = tmp_path / f"digit{i}.csv"
             path.write_text("\n".join(lines) + "\n")
             paths.append(str(path))
-        assert main(
-            ["solve", "--format", "grid-csv", "--regime", "grid",
-             "--formulation", "reduced", *paths]
-        ) == 0
+        assert main(["solve", "--format", "grid-csv", "--formulation", "reduced", *paths]) == 0
         out = capsys.readouterr().out
         assert "regime grid" in out
         assert "status: optimal" in out
@@ -309,6 +330,26 @@ class TestSolve:
         statuses = [line.split(": ")[1] for line in out.splitlines() if "status:" in line]
         assert statuses == ["too-large", "too-large", "optimal", "optimal"]
         assert out.count("15650 rows") == 2
+
+
+def test_readme_flags_match_the_parsers():
+    # every --flag of the README's "Flags:" paragraph exists in the solve or
+    # gen parser, and every flag of those parsers is documented there
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Flags:"):].split("\n\n")[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    subparsers = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    parsed = {
+        flag
+        for command in ("solve", "gen")
+        for action in subparsers.choices[command]._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert documented == parsed
 
 
 def test_cli_import_leaves_out_heavy_scipy_modules():
@@ -429,7 +470,7 @@ class TestCompare:
         out = tmp_path / "mixed.json"
         main(["gen", "mixed", "-n", "3", "-K", "3", "--extra", "1", "--seed", "7", "--out", str(out)])
         capsys.readouterr()
-        assert main(["compare", "--regime", "exact", str(out)]) == 0
+        assert main(["compare", str(out)]) == 0
         text = capsys.readouterr().out
         cols = {}
         for line in text.splitlines():
@@ -519,8 +560,7 @@ class TestRender:
         main(["gen", "mixed", "-n", "3", "-K", "2", "--extra", "1", "--seed", "9", "--out", str(gen_out)])
         sol_out = tmp_path / "sol.json"
         assert main(
-            ["solve", "--formulation", "general", "--regime", "exact",
-             "--out", str(sol_out), str(gen_out)]
+            ["solve", "--formulation", "general", "--out", str(sol_out), str(gen_out)]
         ) == 0
         capsys.readouterr()
         prefix = str(tmp_path / "img")

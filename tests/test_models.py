@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from barylp import generators
-from barylp.cli import RunConfig, _build_model
+from barylp.cli import _build_model
 from barylp.models import (
     FormulationError,
     LpModel,
@@ -18,7 +18,12 @@ from barylp.models import (
     variable_reduction,
 )
 from barylp.solver import column_names, row_names
-from barylp.support import HybridSplit, build_atlas_exact, hybrid_split
+from barylp.support import (
+    DEFAULT_COMBINATION_CAP,
+    HybridSplit,
+    build_atlas_exact,
+    hybrid_split,
+)
 
 from conftest import measure, problem
 
@@ -219,7 +224,7 @@ class TestBuildTransportation:
 
     @staticmethod
     def transportation(p):
-        return _build_model("transportation", p, None, RunConfig())
+        return _build_model("transportation", p, None, DEFAULT_COMBINATION_CAP)
 
     def test_factored_costs(self):
         first = measure([[0.0, 1.0], [2.0, -1.0], [3.0, 0.5]], [0.2, 0.3, 0.5])

@@ -782,6 +782,16 @@ class TestTotalCost:
         assert bary.cost == pytest.approx(0.25, abs=1e-12)
         assert verify_solution(bary, forced_problem)["cost"].passed
 
+    def test_objective_mismatch_fails(self, forced_problem):
+        # the check compares the plan's cost with the LP objective; it used
+        # to compare the plan's cost with itself
+        model = build_general(forced_problem)
+        solution = solve(model)
+        shifted = replace(solution, objective_value=solution.objective_value + 1e-6)
+        report = extract_barycenter(shifted, model, forced_problem).verification
+        assert not report["cost"].passed
+        assert not report.passed
+
     def test_matches_objective_on_solved_instances(self):
         for seed in range(4):
             p = generators.general_position(2, 3, 2, seed=70 + seed)
