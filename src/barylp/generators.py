@@ -74,6 +74,7 @@ def mixed(
 
     The extra points sit beyond the reach of any grid-only mean, so means
     of combinations touching them never collide with the refined grid.
+    They lie off the lattice, so the problem declares none.
     """
     rng = np.random.default_rng(seed)
     spec = GridSpec(dim=2, side=K, origin=(0.0,) * 2, step=1.0)
@@ -88,4 +89,4 @@ def mixed(
             tuple(float(c) for c in pt) for pt in extras
         )
         measures.append(DiscreteMeasure(pts, _random_masses(rng, len(pts))))
-    return Problem(tuple(measures), uniform_weights(n), grid=spec)
+    return Problem(tuple(measures), uniform_weights(n))

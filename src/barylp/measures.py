@@ -185,13 +185,8 @@ def _normalize_masses(masses: list[float], where: str, normalize: bool) -> list[
 
 def _as_text(source) -> str:
     if isinstance(source, os.PathLike):
-        source = os.fspath(source)
-    if isinstance(source, str) and "\n" not in source and len(source) < 4096:
-        try:
-            with open(source, "rb") as fh:
-                return fh.read().decode("utf-8")
-        except (OSError, ValueError):
-            pass  # treat as literal content below
+        with open(source, "rb") as fh:
+            source = fh.read()
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
@@ -300,9 +295,11 @@ def load_problem(
 ) -> Problem:
     """Load a problem from ``source`` and validate every invariant.
 
-    ``format="json"`` takes a single path / bytes / stream holding the whole
-    problem.  ``format="grid-csv"`` takes a sequence of sources, one raster
-    file per measure, all sharing one lattice header; ``weights`` then
+    A source is an ``os.PathLike`` naming a file to read, whose ``OSError``
+    propagates, or the content itself: a ``str``, ``bytes`` or a stream.
+    ``format="json"`` takes a single source holding the whole problem.
+    ``format="grid-csv"`` takes a sequence of sources, one raster per
+    measure, all sharing one lattice header; ``weights`` then
     defaults to uniform.  Masses are rescaled to sum exactly to one only when
     the JSON document sets ``"normalize": true`` (or ``normalize=True`` for
     grid-csv); otherwise sums off by more than 1e-9 are rejected.

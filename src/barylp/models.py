@@ -21,7 +21,9 @@ and y-blocks and the balance rows come from one builder shared by
 atlas's CSR incidence arrays (every point for ``original``) and computes
 their entries, costs and names as whole arrays; the w-block of ``general``
 and ``hybrid`` is computed by the combination kernel of
-:mod:`barylp.support` and assembled column-wise.
+:mod:`barylp.support` and assembled column-wise.  Every cost, and the plan
+cost of an extracted barycenter, is a weighted squared distance from one
+kernel, ``weighted_sq_distance``, so they all round alike.
 """
 
 from __future__ import annotations
@@ -146,6 +148,16 @@ class _Assembler:
         )
 
 
+def weighted_sq_distance(weights, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``weights * |a - b|^2`` row by row, the one cost kernel of every
+    model and of the plan cost: squares as ``x * x``, summed axis by axis
+    from zero, then weighted."""
+    sq = np.zeros(len(a))
+    for column in (a - b).T:
+        sq += column * column
+    return weights * sq
+
+
 def _marginal_rows(asm: _Assembler, problem: Problem) -> np.ndarray:
     """Add the marginal rows; returns the first row of each measure's."""
     asm.marginal = np.column_stack((
@@ -199,15 +211,11 @@ def _mass_transport(
     yj = candidates[pos]
     asm.y = np.column_stack((yi, yj, yk))
 
-    # Squares summed axis by axis from zero, as the scalar expression
-    # lam * sum((a - b) ** 2 ...) does; float_power rounds like ``** 2``.
     points = np.concatenate([np.asarray(m.points, dtype=np.float64) for m in problem.measures])
-    diff = atlas.support_points[yj] - points[offsets[yi] + yk]
-    sq = np.zeros(len(keep))
-    for column in diff.T:
-        sq += np.float_power(column, 2.0)
     asm.add_columns(
-        np.asarray(problem.weights)[yi] * sq,
+        weighted_sq_distance(
+            np.asarray(problem.weights)[yi], atlas.support_points[yj], points[offsets[yi] + yk]
+        ),
         np.column_stack((balance + yi * c + pos, marginal[yi] + yk)),
         1.0,
     )
@@ -233,11 +241,7 @@ def _fixed_transport(
     for idx, mean in combination_chunks(problem, problem.weights, ordinals, cap):
         cost = np.zeros(len(idx))
         for i, lam in enumerate(problem.weights):
-            diff = mean - points[i][idx[:, i]]
-            sq = np.zeros(len(idx))
-            for l in range(problem.dimension):
-                sq += diff[:, l] ** 2
-            cost += lam * sq
+            cost += weighted_sq_distance(lam, mean, points[i][idx[:, i]])
         rows.append(idx + marginal)
         costs.append(cost)
     rows = np.concatenate(rows)

@@ -50,7 +50,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,8 +57,8 @@ from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork, dgetrs
 
 from .measures import Problem
-from .models import LpModel
-from .support import SupportAtlas, _Quantizer, combination_chunks
+from .models import LpModel, weighted_sq_distance
+from .support import SupportAtlas, _Quantizer, _lexsort_rows, _unique_rows, combination_chunks
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
@@ -358,7 +357,10 @@ class _Simplex:
     def _priced(self, costs: np.ndarray):
         """What pricing reads of the priced columns, in working-set order:
         their phase costs, their rows of A^T and their model costs, and the
-        position of every column among them (-1 outside the set)."""
+        position of every column among them (-1 outside the set).  A set
+        of every column reads the arrays themselves, with no copy."""
+        if len(self.working) == self.nv:
+            return costs[:self.nv], self.A_T, self.cost, np.arange(self.nv)
         slot = np.full(self.nv, -1, dtype=np.int64)
         slot[self.working] = np.arange(len(self.working))
         return costs[self.working], self.A_T[self.working], self.cost[self.working], slot
@@ -366,7 +368,10 @@ class _Simplex:
     def refill(self, costs: np.ndarray) -> bool:
         """Sweep every column on the current duals and add to the working
         set the ``REFILL_PER_ROW * m`` outside it that price lowest below
-        ``-OPT_TOL``; False when no column outside it does."""
+        ``-OPT_TOL``; False when no column outside it does, with no sweep
+        when the set holds every column."""
+        if len(self.working) == self.nv:
+            return False
         reduced = costs[:self.nv] - self.A_T @ self._duals
         reduced[self.working] = 0.0  # the set holds the basic columns
         entering = np.flatnonzero(reduced < -OPT_TOL)
@@ -622,23 +627,22 @@ class BarycenterSolution:
 
 
 def _plan_cost(
-    support: Sequence[tuple[tuple[float, ...], float]],
-    transport: Sequence[tuple[int, int, int, float]],
-    problem: Problem,
+    points: np.ndarray, routes: np.ndarray, flow: np.ndarray, problem: Problem
 ) -> float:
-    acc = 0.0
-    for i, j, k, mass in transport:
-        if not (0 <= i < problem.n and 0 <= j < len(support)):
-            raise IndexError(f"transport entry ({i},{j},{k}) out of range")
-        pts = problem.measures[i].points
-        if not 0 <= k < len(pts):
-            raise IndexError(f"transport entry ({i},{j},{k}) out of range")
-        source = support[j][0]
-        target = pts[k]
-        acc += problem.weights[i] * sum(
-            (a - bb) ** 2 for a, bb in zip(source, target)
-        ) * mass
-    return acc
+    """Cost of routing ``flow[t]`` from support point ``routes[t, 1]`` to
+    point ``routes[t, 2]`` of measure ``routes[t, 0]``, summed exactly."""
+    i, j, k = routes.T
+    # negative indices too: numpy would wrap them
+    bad = (i < 0) | (i >= problem.n) | (j < 0) | (j >= len(points)) | (k < 0)
+    bad |= k >= np.asarray(problem.sizes)[np.where(bad, 0, i)]
+    if bad.any():
+        raise IndexError("transport entry ({},{},{}) out of range".format(*routes[bad][0]))
+    offsets = np.cumsum((0,) + problem.sizes)
+    targets = np.concatenate([np.asarray(m.points, dtype=np.float64) for m in problem.measures])
+    terms = weighted_sq_distance(
+        np.asarray(problem.weights)[i], points[j], targets[offsets[i] + k]
+    )
+    return math.fsum((terms * flow).tolist())
 
 
 def extract_barycenter(
@@ -649,12 +653,16 @@ def extract_barycenter(
 ) -> BarycenterSolution:
     """Read a barycenter measure out of an optimal LP solution.
 
-    Mass on fixed-transport variables is credited to the combination's
-    weighted mean (merged under the atlas dedup rule when an atlas is
-    supplied) and routed to each constituent point.  Dust below
-    ``DROP_THRESHOLD`` is discarded and the remainder rescaled; the
-    discarded total is recorded in the verification report, whose cost
-    check compares the plan's cost with the LP objective.
+    Every kept column names a point: a z- or y-column its candidate, a
+    w-column its combination's weighted mean.  Points merge when their
+    ``_Quantizer.keys`` rows are equal (the atlas's quantizer when one is
+    supplied), the rule the atlas dedups by.  z- and w-columns credit their
+    mass to their point, y-columns route theirs from it, and a w-column
+    routes its mass to each constituent point.  Each support point is the
+    point of its first crediting column; routes from points no column
+    credits are dropped.  Dust below ``DROP_THRESHOLD`` is discarded and the
+    remainder rescaled; the discarded total is recorded in the verification
+    report, whose cost check compares the plan's cost with the LP objective.
     """
     if solution.status != "optimal":
         raise ExtractionError(f"cannot extract from status {solution.status!r}")
@@ -662,79 +670,58 @@ def extract_barycenter(
         raise ExtractionError("solution does not match the model's columns")
 
     quant = atlas._quantizer if atlas is not None else _Quantizer(problem)
-    point_by_key: dict[tuple[float, ...], tuple[float, ...]] = {}
-    mass_by_key: dict[tuple[float, ...], float] = {}
-    flow: dict[tuple[int, tuple[float, ...], int], float] = {}
-
-    def credit(key, point, mass):
-        point_by_key.setdefault(key, point)
-        mass_by_key[key] = mass_by_key.get(key, 0.0) + mass
-
-    def route(i, key, k, mass):
-        flow[(i, key, k)] = flow.get((i, key, k), 0.0) + mass
-
     values = np.asarray(solution.values, dtype=np.float64)
     z_vals, y_vals, w_vals = np.split(values, np.cumsum([len(model.z), len(model.y)]))
     dust = np.concatenate((z_vals, w_vals))
-    dropped = 0.0
-    for value in dust[(dust > 0.0) & (dust <= DROP_THRESHOLD)].tolist():
-        dropped += value
+    dropped = math.fsum(dust[(dust > 0.0) & (dust <= DROP_THRESHOLD)].tolist())
     z_kept, y_kept, w_kept = (
         np.flatnonzero(vals > DROP_THRESHOLD) for vals in (z_vals, y_vals, w_vals)
     )
-
-    # Means of the kept fixed-transport combinations, and the candidates
-    # the kept mass and transport variables name, in scaled coordinates so
-    # both merge under the same key.
+    js = np.concatenate((model.z[z_kept], model.y[y_kept, 1]))
+    if js.size and atlas is None:
+        raise ExtractionError("mass variables need the atlas for points")
+    candidates = atlas.support_points[js] if js.size else np.empty((0, problem.dimension))
     # the model already holds these columns, so the cap is moot
     chunks = combination_chunks(
         problem, quant.scaled_weights, model.w[w_kept], cap=problem.combination_total()
     )
     idx, scaled = (np.concatenate(parts) for parts in zip(*chunks))
-    combos = zip(
-        map(tuple, quant.keys(scaled).tolist()),
-        map(tuple, (scaled / quant.scale).tolist()),
-        idx.tolist(),
-    )
-    js = np.concatenate((model.z[z_kept], model.y[y_kept, 1]))
-    if js.size and atlas is None:
-        raise ExtractionError("mass variables need the atlas for points")
-    points = atlas.support_points[js] if js.size else np.empty((0, problem.dimension))
-    candidates = zip(
-        map(tuple, quant.keys(points * quant.scale).tolist()),
-        map(tuple, points.tolist()),
-    )
 
-    # in column order: z credits, y routes, then w credits and routes
-    for value in z_vals[z_kept].tolist():
-        credit(*next(candidates), value)
-    for (i, _, k), value in zip(model.y[y_kept].tolist(), y_vals[y_kept].tolist()):
-        key, _ = next(candidates)
-        route(i, key, k, value)
-    for (key, point, indices), value in zip(combos, w_vals[w_kept].tolist()):
-        credit(key, point, value)
-        for i, k in enumerate(indices):
-            route(i, key, k, value)
+    # One row per kept column, the crediting z- and w-rows first, so that
+    # every label's first row is its first crediting one, if any.
+    nz, nw = len(z_kept), len(w_kept)
+    points = np.concatenate((candidates[:nz], scaled / quant.scale, candidates[nz:]))
+    scaled = np.concatenate((candidates[:nz] * quant.scale, scaled, candidates[nz:] * quant.scale))
+    _, first, label = _unique_rows(quant.keys(scaled))
+    credit = np.concatenate((z_vals[z_kept], w_vals[w_kept]))
+    mass = np.bincount(label[:nz + nw], weights=credit, minlength=len(first))
+    credited = np.flatnonzero(first < nz + nw)
+    support = credited[_lexsort_rows(points[first[credited]])]
+    rank = np.full(len(first), -1)
+    rank[support] = np.arange(len(support))
 
-    keys = sorted(mass_by_key, key=lambda key: point_by_key[key])
-    index_of = {key: idx for idx, key in enumerate(keys)}
-    kept = math.fsum(mass_by_key.values())
+    # Routes in column order, y then w, summed per (measure, point, target).
+    i = np.concatenate((model.y[y_kept, 0], np.repeat(np.arange(problem.n), nw)))
+    j = rank[np.concatenate((label[nz + nw:], np.tile(label[nz:nz + nw], problem.n)))]
+    k = np.concatenate((model.y[y_kept, 2], idx.T.ravel()))
+    flow = np.concatenate((y_vals[y_kept], np.tile(w_vals[w_kept], problem.n)))
+    live = j >= 0
+    shape = (problem.n, len(support), max(problem.sizes))
+    codes, entry = np.unique(
+        np.ravel_multi_index((i[live], j[live], k[live]), shape), return_inverse=True
+    )
+    routes = np.column_stack(np.unravel_index(codes, shape))
+    flow = np.bincount(entry, weights=flow[live], minlength=len(codes))
+
+    points, mass = points[first[support]], mass[support]
+    kept = math.fsum(mass.tolist())
     rescale = 1.0 / kept if dropped > 0.0 and kept > 0.0 else 1.0
-    support = tuple(
-        (point_by_key[key], mass_by_key[key] * rescale) for key in keys
-    )
-    transport = tuple(
-        sorted(
-            (i, index_of[key], k, mass * rescale)
-            for (i, key, k), mass in flow.items()
-            if key in index_of
-        )
-    )
-    cost = _plan_cost(support, transport, problem)
-    report = _verify(support, transport, cost, solution.objective_value, problem, dropped)
+    mass, flow = mass * rescale, flow * rescale
+    cost = _plan_cost(points, routes, flow, problem)
+    report = _verify(mass, routes, flow, cost, solution.objective_value, problem, dropped)
     return BarycenterSolution(
-        support=support,
-        transport=transport,
+        support=tuple(zip(map(tuple, points.tolist()), mass.tolist())),
+        transport=tuple(zip(*routes.T.tolist(), flow.tolist())),
         cost=cost,
         source_formulation=model.formulation,
         verification=report,
@@ -744,30 +731,32 @@ def extract_barycenter(
 def verify_solution(bary: BarycenterSolution, problem: Problem) -> VerificationReport:
     """Re-run all solution checks against a problem; the cost check
     recomputes the plan's cost and compares it with the stored one."""
+    points = np.array(bary.points, dtype=np.float64).reshape(-1, problem.dimension)
+    routes = np.array([entry[:3] for entry in bary.transport], dtype=np.int64).reshape(-1, 3)
+    flow = np.array([entry[3] for entry in bary.transport], dtype=np.float64)
     return _verify(
-        bary.support, bary.transport, _plan_cost(bary.support, bary.transport, problem),
-        bary.cost, problem, bary.verification.dropped_mass,
+        np.array(bary.masses, dtype=np.float64), routes, flow,
+        _plan_cost(points, routes, flow, problem), bary.cost, problem,
+        bary.verification.dropped_mass,
     )
 
 
 def _verify(
-    support, transport, cost: float, stored: float, problem: Problem, dropped: float
+    masses: np.ndarray, routes: np.ndarray, flow: np.ndarray, cost: float, stored: float,
+    problem: Problem, dropped: float,
 ) -> VerificationReport:
     """The checks of a plan whose cost is ``cost``; the cost check compares
     it with ``stored``, the value the solution claims for it."""
-    total = math.fsum(mass for _, mass in support)
-    received: dict[tuple[int, int], float] = {}
-    targets: dict[tuple[int, int], int] = {}
-    for i, j, k, mass in transport:
-        received[(i, k)] = received.get((i, k), 0.0) + mass
-        if mass > 1e-9:
-            targets[(i, j)] = targets.get((i, j), 0) + 1
-    worst = 0.0
-    for i, m in enumerate(problem.measures):
-        for k, target in enumerate(m.masses):
-            worst = max(worst, abs(received.get((i, k), 0.0) - target))
+    total = math.fsum(masses.tolist())
+    offsets = np.cumsum((0,) + problem.sizes)
+    received = np.bincount(
+        offsets[routes[:, 0]] + routes[:, 2], weights=flow, minlength=offsets[-1]
+    )
+    target = np.concatenate([m.masses for m in problem.measures])
+    worst = float(np.abs(received - target).max())
     bound = sum(problem.sizes) - problem.n + 1
-    splits = sum(1 for count in targets.values() if count > 1)
+    _, targets = np.unique(routes[flow > 1e-9, :2], axis=0, return_counts=True)
+    splits = int((targets > 1).sum())
     checks = (
         CheckResult("total-mass", abs(total - 1.0) <= 1e-8, f"sum {total:.12g}"),
         CheckResult("marginals", worst <= 1e-8, f"max deviation {worst:.3g}"),
@@ -776,8 +765,8 @@ def _verify(
             f"stored {stored:.12g} recomputed {cost:.12g}",
         ),
         CheckResult(
-            "sparsity", len(support) <= bound,
-            f"{len(support)} support points, bound {bound}", advisory=True,
+            "sparsity", len(masses) <= bound,
+            f"{len(masses)} support points, bound {bound}", advisory=True,
         ),
         CheckResult(
             "non-mass-splitting", splits == 0,

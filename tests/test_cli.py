@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: commands, exit codes, reproducibility."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -60,6 +61,13 @@ def gp552_path(tmp_path):
 
 
 # `solve --formulation all` stdout on three seeded instances, byte for byte
+# the `gen` arguments of the instances whose outputs are pinned
+PINNED_GEN_ARGS = (
+    ["general", "-n", "3", "-p", "3"],
+    ["grid", "-n", "2", "-K", "3", "--density", "0.6"],
+    ["mixed", "-n", "3", "-K", "2", "--extra", "1"],
+)
+
 GP_STDOUT = """\
 measures: n=3 sizes=[3, 3, 3] d=2
 combinations |S*|: 27
@@ -222,16 +230,36 @@ class TestSolve:
         assert first == second
 
     def test_pinned_stdout(self, tmp_path, capsys):
-        for gen_args, expected in (
-        (["general", "-n", "3", "-p", "3"], GP_STDOUT),
-        (["grid", "-n", "2", "-K", "3", "--density", "0.6"], GRID_STDOUT),
-        (["mixed", "-n", "3", "-K", "2", "--extra", "1"], MIXED_STDOUT),
-        ):
+        for gen_args, expected in zip(PINNED_GEN_ARGS, (GP_STDOUT, GRID_STDOUT, MIXED_STDOUT)):
             path = str(tmp_path / f"{gen_args[0]}.json")
             assert main(["gen", *gen_args, "--seed", "0", "--out", path]) == 0
             capsys.readouterr()
             assert main(["solve", "--formulation", "all", path]) == 0
             assert capsys.readouterr().out == expected, gen_args[0]
+
+    def test_pinned_solution_files(self, tmp_path, capsys):
+        # support, transport and checks of every formulation's --out file,
+        # floats at 12 significant digits so BLAS builds do not flip them
+        def rounded(value):
+            if isinstance(value, float):
+                return float(f"{value:.12g}")
+            if isinstance(value, list):
+                return [rounded(v) for v in value]
+            if isinstance(value, dict):
+                return {key: rounded(v) for key, v in value.items()}
+            return value
+
+        docs = []
+        for gen_args in PINNED_GEN_ARGS:
+            path = str(tmp_path / f"{gen_args[0]}.json")
+            out = str(tmp_path / f"{gen_args[0]}-solution.json")
+            assert main(["gen", *gen_args, "--seed", "0", "--out", path]) == 0
+            assert main(["solve", "--formulation", "all", "--out", out, path]) == 0
+            for name in cli.FORMULATIONS:
+                doc = json.loads(Path(cli._suffixed(out, name)).read_text())
+                docs.append({key: doc[key] for key in ("support", "transport", "verification")})
+        digest = hashlib.sha256(json.dumps(rounded(docs), sort_keys=True).encode()).hexdigest()
+        assert digest == "d65d43ee7307b55a6c64893d762f3f54d38f1540c737201cb3c9a81ee4ab50aa"
 
     def test_grid_csv_input(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -391,6 +419,10 @@ class TestGen:
         doc = json.loads(out.read_text())
         assert len(doc["measures"]) == 3
         assert all(len(m["points"]) == 5 for m in doc["measures"])
+
+    def test_mixed_declares_no_lattice(self):
+        # its extra points lie off the K x K grid, so no lattice holds them all
+        assert cli.detect_grid(barylp.generators.mixed(3, 2, 1)) is None
 
     def test_stdout_output(self, capsys):
         assert main(["gen", "general", "-n", "2", "-p", "2", "-d", "1"]) == 0

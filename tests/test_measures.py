@@ -202,6 +202,18 @@ class TestLoadJson:
         text = problem_json()
         assert load_problem(text.encode()) == load_problem(io.StringIO(text))
 
+    def test_missing_path_raises_the_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_problem(tmp_path / "missing.json")
+
+    def test_str_is_content_not_a_path(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(problem_json())
+        assert load_problem(path) == load_problem(problem_json())
+        # the str naming the file is parsed as JSON, which it is not
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_problem(str(path))
+
 
 def grid_csv_16x16():
     return "\n".join(

@@ -801,18 +801,27 @@ class TestTotalCost:
             bary = extract_barycenter(solution, model, p, atlas=atlas)
             assert bary.cost == pytest.approx(solution.objective_value, abs=1e-8)
             assert verify_solution(bary, p)["cost"].passed
+            # the scalar loop the array kernel replaced, summed left to
+            # right: a few terms, so a few ulps apart at most
+            loop = 0.0
+            for i, j, k, mass in bary.transport:
+                source, target = bary.support[j][0], p.measures[i].points[k]
+                loop += p.weights[i] * sum((a - b) ** 2 for a, b in zip(source, target)) * mass
+            assert bary.cost == pytest.approx(loop, rel=1e-14)
 
     def test_bad_indices_rejected(self):
         p = problem([measure([[0.0]], [1.0]), measure([[1.0]], [1.0])])
-        bary = BarycenterSolution(
-            support=(((0.5,), 1.0),),
-            transport=((0, 5, 0, 1.0),),
-            cost=0.0,
-            source_formulation="general",
-            verification=VerificationReport(checks=()),
-        )
-        with pytest.raises(IndexError):
-            verify_solution(bary, p)
+        # a negative index would wrap round an array, so it is out of range too
+        for entry in ((0, 5, 0, 1.0), (0, -1, 0, 1.0)):
+            bary = BarycenterSolution(
+                support=(((0.5,), 1.0),),
+                transport=(entry,),
+                cost=0.0,
+                source_formulation="general",
+                verification=VerificationReport(checks=()),
+            )
+            with pytest.raises(IndexError):
+                verify_solution(bary, p)
 
 
 class TestSolutionJson:
