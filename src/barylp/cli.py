@@ -29,6 +29,7 @@ from .measures import (
     Problem,
     WeightError,
     load_problem,
+    validate_problem,
 )
 from .models import (
     FormulationError,
@@ -284,6 +285,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sizes(args) -> int:
+    minimums = (("-n", args.n, 2), ("-p", args.p, 1), ("-K", args.K, 1), ("-d", args.d, 1))
+    for flag, value, least in minimums:
+        if value is not None and value < least:
+            raise CliError(EXIT_INPUT, f"sizes need {flag} >= {least}, got {value}")
     regime = {"general": "general-position", "grid": "full-grid"}[args.regime]
     if regime == "general-position":
         if args.p is None:
@@ -346,6 +351,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.step is not None and not (math.isfinite(args.step) and args.step > 0.0):
+        raise CliError(EXIT_INPUT, f"--step must be finite and positive, got {args.step}")
     try:
         with open(args.solution) as fh:
             doc = json.load(fh)
@@ -425,12 +432,18 @@ def cmd_render(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "general":
-        problem = generators.general_position(args.n, args.p, args.d, args.seed)
-    elif args.kind == "grid":
-        problem = generators.grid(args.n, args.K, args.d, args.density, args.seed)
-    else:
-        problem = generators.mixed(args.n, args.K, args.extra, args.seed)
+    try:
+        if args.kind == "general":
+            problem = generators.general_position(args.n, args.p, args.d, args.seed)
+        elif args.kind == "grid":
+            problem = generators.grid(args.n, args.K, args.d, args.density, args.seed)
+        else:
+            problem = generators.mixed(args.n, args.K, args.extra, args.seed)
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, f"cannot generate {args.kind}: {exc}")
+    violations = validate_problem(problem)
+    if violations:
+        raise CliError(EXIT_INPUT, f"generated problem is invalid: {'; '.join(violations)}")
     doc = {
         "weights": list(problem.weights),
         "measures": [

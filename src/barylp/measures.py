@@ -127,6 +127,8 @@ def validate_measure(m: DiscreteMeasure) -> list[str]:
     for k, p in enumerate(m.points):
         if len(p) != d:
             violations.append(f"point at index {k} has dimension {len(p)} != {d}")
+        if not all(math.isfinite(c) for c in p):
+            violations.append(f"point at index {k} has a non-finite coordinate")
     for k, mass in enumerate(m.masses):
         if not mass > 0.0:
             violations.append(f"mass {mass} at index {k} is not strictly positive")

@@ -22,11 +22,15 @@ a permutation that basis is [[D, 0], [E, I]], so its inverse
 when the start's artificials carry mass, which the greedy start of a
 model with balanced marginals does not.
 
+The model keeps every row, although the marginal rows carry n - 1
+dependencies: an artificial that no column can replace after the start
+or phase 1 sits on a dependent row and stays basic at zero.
+
 Pricing reads a working set of columns, in the master/pricing split of
 column generation: when no column in it prices below ``-OPT_TOL``, one
-sweep over every column adds the ``REFILL_PER_ROW * m`` most negative
-ones outside it.  A phase ends only when a sweep on the duals of a fresh
-factorization finds none, so the optimality check covers every column.
+sweep over every column adds the most negative ones outside it,
+``REFILL_PER_ROW`` per basic model column.  A phase ends only when a
+sweep on fresh duals finds none, so the check covers every column.
 The set only grows and stays sorted, so refills are finitely many and
 Bland's rule still terminates between them.  A greedy-started model's set
 starts as the greedy basis; on the general-position shapes the final set
@@ -65,7 +69,7 @@ OPT_TOL = 1e-9
 PIVOT_TOL = 1e-10
 DROP_THRESHOLD = 1e-11
 REFACTOR_EVERY = 200
-# columns a sweep adds to a working set, per constraint row
+# columns a sweep adds to a working set, per basic model column
 REFILL_PER_ROW = 4
 MAX_BASIS_BYTES = 1 << 30  # 8 m^2 bytes of dense basis: m <= 11585
 
@@ -78,9 +82,8 @@ class ExtractionError(ValueError):
 class LpSolution:
     """Outcome of a simplex run.
 
-    ``values`` holds the model variables; redundant constraint rows are
-    detected after phase 1 and dropped internally, so an optimal basis
-    contains model variables only (its size is the constraint rank).
+    ``values`` holds the model variables and ``basis`` the basic ones in
+    position order, never an artificial: an optimal basis has rank(A).
     ``phase_iterations`` counts the pivots of phase 1 and of phase 2;
     ``iterations`` is the total, which also counts the pivots that take
     leftover artificials out of the basis between the phases.
@@ -124,7 +127,6 @@ class _Simplex:
         self.max_iters = max_iters
         self.bland = False  # set once cycling is suspected
         self.basis = np.arange(self.nv, self.nv + self.m, dtype=np.int64)
-        self.in_basis = np.zeros(self.nv, dtype=bool)
         # the explicit inverse (Fortran order, for dger), or None while only
         # the LU factors (lu, piv) of a refactor are held in _lu
         self._binv = np.eye(self.m, order="F")
@@ -139,7 +141,7 @@ class _Simplex:
         # the sorted columns priced
         if self.fixed_transport():
             self.greedy(model.constraints.tocsr())
-            self.working = np.flatnonzero(self.in_basis)
+            self.working = np.sort(self.basis[self.basis < self.nv])
         else:
             self.crash()
             self.working = np.arange(self.nv)
@@ -180,7 +182,6 @@ class _Simplex:
             exhausted = support[remaining[support] <= FEAS_TOL]
             # the artificial of row r sits at basis position r
             self.basis[exhausted[0]] = col
-            self.in_basis[col] = True
             entry, _ = _entries(rows, exhausted)
             price[rows.indices[entry]] = np.inf
         self.refactor()
@@ -215,7 +216,6 @@ class _Simplex:
         rows, cols, pivots = rows[first], cols[first], pivots[first]
         # the artificial of row r sits at basis position r
         self.basis[rows] = cols
-        self.in_basis[cols] = True
         # the basis is [[D, 0], [E, I]] with D the crash entries, up to a
         # permutation: its inverse is [[D^-1, 0], [-E D^-1, I]], and x_B is b
         entry, lens = _entries(A, cols)
@@ -231,7 +231,7 @@ class _Simplex:
         dense[self.A.indices[entry], np.repeat(pos, lens)] = self.A.data[entry]
         art = np.flatnonzero(self.basis >= self.nv)
         dense[self.basis[art] - self.nv, art] = 1.0
-        if self.m == 0:  # every row was dropped; LAPACK rejects empty matrices
+        if self.m == 0:  # a model with no rows; LAPACK rejects empty matrices
             self._binv = dense
         else:
             lu, piv, info = dgetrf(dense, overwrite_a=1)
@@ -264,7 +264,6 @@ class _Simplex:
         self, entering: int, leave_pos: int, u: np.ndarray, d_entering: float = 0.0
     ) -> None:
         step = max(self.x_basic[leave_pos], 0.0) / u[leave_pos]
-        leaving = int(self.basis[leave_pos])
         self.x_basic -= step * u
         self.x_basic[leave_pos] = step
         binv = self.inverse()
@@ -277,9 +276,6 @@ class _Simplex:
             # dual update: only the entering column's reduced cost changes sign
             self._duals = self._duals + d_entering * pivot_row
         self.basis[leave_pos] = entering
-        self.in_basis[entering] = True
-        if leaving < self.nv:
-            self.in_basis[leaving] = False
         self.iterations += 1
         self._since_refactor += 1
         if self._since_refactor >= REFACTOR_EVERY:
@@ -367,9 +363,9 @@ class _Simplex:
 
     def refill(self, costs: np.ndarray) -> bool:
         """Sweep every column on the current duals and add to the working
-        set the ``REFILL_PER_ROW * m`` outside it that price lowest below
-        ``-OPT_TOL``; False when no column outside it does, with no sweep
-        when the set holds every column."""
+        set the ``REFILL_PER_ROW`` per basic model column outside it that
+        price lowest below ``-OPT_TOL``; False when no column outside it
+        does, with no sweep when the set holds every column."""
         if len(self.working) == self.nv:
             return False
         reduced = costs[:self.nv] - self.A_T @ self._duals
@@ -377,7 +373,7 @@ class _Simplex:
         entering = np.flatnonzero(reduced < -OPT_TOL)
         if entering.size == 0:
             return False
-        keep = REFILL_PER_ROW * self.m
+        keep = REFILL_PER_ROW * np.count_nonzero(self.basis < self.nv)
         if entering.size > keep:
             entering = entering[np.argpartition(reduced[entering], keep - 1)[:keep]]
         # disjoint from the set, so a sort merges the two
@@ -385,34 +381,20 @@ class _Simplex:
         return True
 
     def cleanup_artificials(self) -> None:
-        """Pivot leftover artificials out; drop the rows that cannot.
+        """Pivot out every leftover artificial that a column can replace.
 
         After a feasible start or phase 1 every basic artificial sits at
-        ~zero.  A row whose artificial admits no usable pivot is a
-        dependent constraint and is removed outright, so phase 2 runs on
-        model variables only.
+        ~zero.  One that no column can replace sits on a dependent row: its
+        row of B^-1 A is zero for every column, and stays zero under later
+        pivots, so it stays basic at zero and no ratio test reads it.
         """
-        drop_rows: list[int] = []
         for pos in np.nonzero(self.basis >= self.nv)[0]:
             row_vec = self.A_T @ self._solve(np.eye(1, self.m, pos)[0], trans=1)
-            row_vec = np.where(self.in_basis, 0.0, row_vec)
+            row_vec[self.basis[self.basis < self.nv]] = 0.0
             candidates = np.nonzero(np.abs(row_vec) > 1e-7)[0]
             if candidates.size:
                 entering = int(candidates[np.argmax(np.abs(row_vec[candidates]))])
                 self.apply_pivot(entering, int(pos), self.column(entering))
-            else:
-                drop_rows.append(int(self.basis[pos]) - self.nv)
-        if not drop_rows:
-            return
-        keep = np.ones(self.m, dtype=bool)
-        keep[drop_rows] = False
-        self.A = self.A[keep].tocsc()
-        self.A_T = self.A.T
-        self.b = self.b[keep]
-        self.m = int(keep.sum())
-        self.basis = self.basis[self.basis < self.nv]
-        assert len(self.basis) == self.m, "basis inconsistent after row drop"
-        self.refactor()
 
     def solution(self, status: str) -> LpSolution:
         values = np.zeros(self.nv)
@@ -422,7 +404,7 @@ class _Simplex:
         if status == "unbounded":
             objective = -math.inf
         return LpSolution(
-            status, objective, values, self.basis.copy(), self.iterations,
+            status, objective, values, self.basis[inside], self.iterations,
             tuple(self.phase_iterations), len(self.working),
         )
 
@@ -795,4 +777,4 @@ def solution_json(
             c.name: bool(c.passed) for c in bary.verification.checks
         }
         doc["dropped_mass"] = bary.verification.dropped_mass
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc)

@@ -192,6 +192,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "No such file or directory" in err and missing in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_coordinate_exit_code(self, tmp_path, capsys, literal):
+        # NaN used to end in a traceback, Infinity in exit 4
+        path = tmp_path / "non-finite.json"
+        path.write_text(
+            '{"measures": [{"points": [[0.0], [%s]], "masses": [0.5, 0.5]},'
+            ' {"points": [[1.0]], "masses": [1.0]}]}' % literal
+        )
+        assert main(["solve", str(path)]) == 2
+        assert "non-finite coordinate" in capsys.readouterr().err
+
     def test_non_utf8_input_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "latin1.json"
         bad.write_bytes('{"measures": "\u00e9"}'.encode("latin-1"))
@@ -211,6 +222,8 @@ class TestSolve:
         assert main(
             ["solve", "--formulation", "general", "--out", str(out_path), forced_path]
         ) == 0
+        # one line: json's C encoder, which an indent would bypass
+        assert "\n" not in out_path.read_text()
         doc = json.loads(out_path.read_text())
         assert doc["objective"] == pytest.approx(0.25)
         assert doc["support"] == [{"point": [0.5], "mass": 1.0}]
@@ -391,6 +404,37 @@ def test_cli_import_leaves_out_heavy_scipy_modules():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+# arguments out of range, each refused with exit 2 before any work or
+# file; the render cases read a solution file the test writes first
+OUT_OF_RANGE_ARGS = (
+    ["gen", "general", "-n", "1"],
+    ["gen", "general", "-p", "0"],
+    ["gen", "general", "-d", "0"],
+    ["gen", "grid", "-K", "0"],
+    ["gen", "mixed", "--extra", "-1"],
+    ["sizes", "--regime", "general", "-n", "3", "-p", "0"],
+    ["sizes", "--regime", "general", "-n", "0", "-p", "3"],
+    ["render", "--step", "0"],
+    ["render", "--step", "-1"],
+)
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE_ARGS, ids=" ".join)
+def test_arguments_out_of_range_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] == "render":
+        solution = tmp_path / "solution.json"
+        solution.write_text(json.dumps({"support": [{"point": [0.0, 1.0], "mass": 1.0}]}))
+        argv = [*argv, str(solution)]
+    if argv[0] != "sizes":
+        argv = [*argv, "--out", str(out)]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 class TestGen:

@@ -133,6 +133,16 @@ class TestLoadJson:
         with pytest.raises(ParseError):
             load_problem("{not json")
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_coordinate_rejected(self, literal):
+        # json reads both literals as floats; only the validation refuses them
+        text = (
+            '{"measures": [{"points": [[0.0], [%s]], "masses": [0.5, 0.5]},'
+            ' {"points": [[1.0]], "masses": [1.0]}]}' % literal
+        )
+        with pytest.raises(InvariantError, match="index 1 has a non-finite coordinate"):
+            load_problem(text)
+
     def test_missing_measures_key(self):
         with pytest.raises(ParseError):
             load_problem(json.dumps({"weights": [1.0]}))
@@ -250,6 +260,13 @@ class TestLoadGridCsv:
     def test_cell_index_out_of_range(self):
         src = "4,1,0.0,1.0\n5,1.0"
         with pytest.raises(ParseError, match="outside"):
+            load_problem([src, src], "grid-csv")
+
+    @pytest.mark.parametrize("header", ["4,1,inf,1.0", "4,1,0.0,inf"])
+    def test_non_finite_lattice_rejected(self, header):
+        # an infinite origin or step puts every cell at a non-finite point
+        src = f"{header}\n1,1.0"
+        with pytest.raises(InvariantError, match="non-finite coordinate"):
             load_problem([src, src], "grid-csv")
 
     def test_mismatched_lattices_rejected(self):

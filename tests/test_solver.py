@@ -193,6 +193,45 @@ class TestSolve:
         assert solution.status == "optimal"
         assert solution.objective_value == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("instance", ["general", "duplicated-row"])
+    def test_dependent_rows_keep_their_artificials(self, monkeypatch, instance):
+        # the solver keeps the model it was built with: an artificial that no
+        # column can replace stays basic at zero on its dependent row, and
+        # the reported basis lists the model columns only
+        if instance == "general":
+            # three measures: n - 1 = 2 dependent marginal rows
+            model = build_general(generators.general_position(3, 3, 2, seed=0))
+            dependent = 2
+        else:
+            # not fixed-transport, so it starts on artificials and runs phase 1
+            model = raw_model(
+                [1.0, 2.0, 3.0], [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 2.0, 0.0]],
+                [1.0, 1.0, 1.0],
+            )
+            dependent = 1
+        states = []
+        init = _Simplex.__init__
+
+        def recording_init(self, *args):
+            init(self, *args)
+            states.append(self)
+
+        monkeypatch.setattr(_Simplex, "__init__", recording_init)
+        solution = solve(model)
+        assert solution.status == "optimal"
+        (state,) = states
+        assert state.m == model.num_constraints
+        assert state.A.shape == model.constraints.shape
+        assert np.array_equal(state.b, model.rhs)
+        artificial = state.basis >= state.nv
+        assert np.count_nonzero(artificial) == dependent
+        assert np.abs(state.x_basic[artificial]).max() <= FEAS_TOL
+        rank = np.linalg.matrix_rank(model.constraints.toarray())
+        assert rank == model.num_constraints - dependent
+        assert len(solution.basis) == rank
+        assert (solution.basis < model.num_vars).all()
+        assert_vertex(model, solution)
+
     def test_tied_entering_columns_go_to_the_cheaper(self, monkeypatch):
         # columns 0 and 1 are equal, so their reduced costs tie; column 1 is
         # cheaper and must enter, column 0 never
@@ -271,7 +310,7 @@ class TestCrashBasis:
         assert expected, "the model has balance rows with eligible columns"
         crashed = {pos: int(var) for pos, var in enumerate(state.basis) if var < nv}
         assert crashed == expected
-        assert state.in_basis.sum() == len(expected)
+        assert np.count_nonzero(state.basis < nv) == len(expected)
 
         full = sp.hstack([model.constraints, sp.identity(m)], format="csc")
         basis_matrix = full[:, state.basis].toarray()
@@ -385,7 +424,7 @@ class TestGreedyStart:
         expected = reference_greedy(model)
         started = {pos: int(var) for pos, var in enumerate(state.basis) if var < state.nv}
         assert started == {pos: c for pos, (c, _) in expected.items()}
-        assert state.in_basis.sum() == len(expected)
+        assert np.count_nonzero(state.basis < state.nv) == len(expected)
         values = np.array([take for _, take in expected.values()])
         assert np.allclose(state.x_basic[list(expected)], values, atol=1e-12)
 
@@ -417,7 +456,7 @@ class TestGreedyStart:
         rhs[model.marginal[:, 0] == 0] *= 1.5  # measure 0 now has mass 1.5
         model = replace(model, rhs=rhs)
         state = _Simplex(model, 100)
-        assert state.in_basis.any()
+        assert (state.basis < state.nv).any()
         assert state.infeasibility() > state.feas_threshold
 
         phases = []
