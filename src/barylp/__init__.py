@@ -21,7 +21,6 @@ from .support import (
     build_atlas_exact,
     build_atlas_grid,
     combination_chunks,
-    count_dice,
     hybrid_split,
 )
 from .models import (

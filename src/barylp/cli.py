@@ -277,7 +277,9 @@ def cmd_compare(args) -> int:
         )
     spread = max(objectives.values(), default=0.0) - min(objectives.values(), default=0.0)
     agree = spread <= 1e-8
-    print(f"objective agreement: {'OK' if agree else 'FAIL'} (spread {spread:.3g})")
+    # a spread of a few ulps would carry the objectives' last bits to stdout
+    shown = "< 1e-12" if spread < 1e-12 else f"{spread:.3g}"
+    print(f"objective agreement: {'OK' if agree else 'FAIL'} (spread {shown})")
     print(f"sparsity bound {bound}: {'OK' if support_ok else 'FAIL'}")
     if not agree:
         raise CliError(EXIT_SOLVER, f"objectives disagree by {spread:.3g}")

@@ -1,36 +1,54 @@
 """LP solving, MPS export, and barycenter extraction/verification.
 
-The solver is a two-phase revised simplex over a dense basis.  A refactor
-(every ``REFACTOR_EVERY`` pivots, and at each phase end) only LU-factors
-the basis (LAPACK ``dgetrf``) and takes x_B and the duals from triangular
-solves (``dgetrs``); the explicit inverse is formed over the factors
-(``dgetri``) when a pivot needs it, and each pivot updates it in place by a
-rank-1 ``dger`` update.  A phase end whose optimality check holds thus
-costs one factorization and no inversion.
+The solver is a revised simplex over an explicit dense basis inverse.  A
+solve has three steps: start, simplex, verify.
 
-The start depends on the matrix.  A fixed-transport matrix (every
-right-hand side positive and every entry 1: ``general``, and ``hybrid``
-with no candidate on the mass/transport side) starts from a least-cost
-greedy plan: the cheapest column whose rows all keep mass takes the least
-remaining mass of its rows, until no such column is left.  The plan is a
-triangular basis, factored once.  Other models start from a triangular
-crash basis: every row with right-hand side 0 (the balance rows of the
-original, reduced and hybrid models) takes its cheapest column with no
-other nonzero in such a row, and every other row its artificial.  Up to
-a permutation that basis is [[D, 0], [E, I]], so its inverse
-[[D^-1, 0], [-E D^-1, I]] is written out directly.  Phase 1 runs only
-when the start's artificials carry mass, which the greedy start of a
-model with balanced marginals does not.
+Start.  A fixed-transport matrix (every right-hand side positive and every
+entry 1: ``general``, and ``hybrid`` with no candidate on the
+mass/transport side) starts from a least-cost greedy plan: the cheapest
+column whose rows all keep mass takes the least remaining mass of its
+rows, until no such column is left.  The plan is a triangular basis,
+LU-factored (LAPACK ``dgetrf``) and inverted (``dgetri``) once.  Other
+models start from a triangular crash basis: every row with right-hand
+side 0 (the balance rows of the original, reduced and hybrid models)
+takes its cheapest column with no other nonzero in such a row, and every
+other row its artificial.  Up to a permutation that basis is
+[[D, 0], [E, I]], so its inverse [[D^-1, 0], [-E D^-1, I]] is written out
+directly.
+
+Simplex.  On the mass/transport models, whose costs are >= 0, the crash
+start is dual feasible: a balance row's dual is its crash column's cost
+over its entry, every other row's is 0, and every column prices at >= 0.
+This is checked, not assumed, and
+a dual feasible crash start goes to the optimum by a dual simplex with no
+phase 1 (``run_dual``).  Any other start runs the primal simplex: phase 1
+when its artificials carry mass, which the greedy start of a model with
+balanced marginals does not, then phase 2 (``run_phase``).  Between the
+two, leftover artificials that a column can replace are pivoted out;
+phase 2 then also confirms a dual simplex's optimum.  The inverse is
+held row-major.  Each pivot's rank-1 change to it touches only the rows
+where the entering column of B^-1 A is nonzero; when at most m/8 are,
+``dger`` updates just those rows, gathered, and otherwise the whole
+inverse.  A pivot with a zero step leaves x_B as it is.
+
+Verify.  At each phase end, and every ``REFACTOR_EVERY`` pivots, x_B and
+the duals are recomputed from the held inverse, each refined once against
+the sparse basis, and their residuals are tested explicitly (``refresh``);
+only a failed test LU-factors the basis and rebuilds the inverse.  A
+status is reported only on refreshed values.  An optimal solve frees the
+inverse, factors the final basis once to report x_B, and checks the
+residual of A x = b.
 
 The model keeps every row, although the marginal rows carry n - 1
-dependencies: an artificial that no column can replace after the start
-or phase 1 sits on a dependent row and stays basic at zero.
+dependencies: an artificial that no column can replace after the start,
+phase 1 or the dual simplex sits on a dependent row and stays basic at
+zero.
 
 Pricing reads a working set of columns, in the master/pricing split of
 column generation: when no column in it prices below ``-OPT_TOL``, one
 sweep over every column adds the most negative ones outside it,
 ``REFILL_PER_ROW`` per basic model column.  A phase ends only when a
-sweep on fresh duals finds none, so the check covers every column.
+sweep on refreshed duals finds none, so the check covers every column.
 The set only grows and stays sorted, so refills are finitely many and
 Bland's rule still terminates between them.  A greedy-started model's set
 starts as the greedy basis; on the general-position shapes the final set
@@ -39,13 +57,14 @@ starts as every column, so its sweeps never add one: those models have
 many rows for their columns, and a smaller set cost them more than it
 saved.
 
-Pivots take the most negative reduced cost, and among columns within
-``OPT_TOL`` of it the cheapest, then the lowest index, so phase 1 ends at
-a vertex chosen with the cost in view.  A long degenerate streak, a sign
-of cycling on these transportation-like polytopes, switches the solve to
-Bland's rule.  Models whose dense basis would exceed ``MAX_BASIS_BYTES``
-are refused as ``too-large``; export them in MPS format and solve them
-externally.
+Primal pivots take the most negative reduced cost, and among columns
+within ``OPT_TOL`` of it the cheapest, then the lowest index, so phase 1
+ends at a vertex chosen with the cost in view; the dual simplex breaks
+its near-ties the same way.  A long degenerate streak, a sign of cycling
+on these transportation-like polytopes, switches the solve to
+smallest-index choices (Bland's rule).  Models whose dense basis would
+exceed ``MAX_BASIS_BYTES`` are refused as ``too-large``; export them in
+MPS format and solve them externally.
 """
 
 from __future__ import annotations
@@ -68,7 +87,7 @@ FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-10
 DROP_THRESHOLD = 1e-11
-REFACTOR_EVERY = 200
+REFACTOR_EVERY = 200  # pivots between residual checks
 # columns a sweep adds to a working set, per basic model column
 REFILL_PER_ROW = 4
 MAX_BASIS_BYTES = 1 << 30  # 8 m^2 bytes of dense basis: m <= 11585
@@ -84,9 +103,10 @@ class LpSolution:
 
     ``values`` holds the model variables and ``basis`` the basic ones in
     position order, never an artificial: an optimal basis has rank(A).
-    ``phase_iterations`` counts the pivots of phase 1 and of phase 2;
-    ``iterations`` is the total, which also counts the pivots that take
-    leftover artificials out of the basis between the phases.
+    ``phase_iterations`` counts the pivots of phase 1, or of the dual
+    simplex that replaces it, and of phase 2; ``iterations`` is the total,
+    which also counts the pivots that take leftover artificials out of the
+    basis between the phases.
     ``working_set`` is the number of columns priced at the end of the
     solve: every column unless the model started greedy, and 0 when the
     model was refused as too large.
@@ -107,7 +127,7 @@ class LpSolution:
 
 
 class _Simplex:
-    """Two-phase revised simplex over a dense basis, as LU factors or inverse."""
+    """Primal and dual revised simplex over an explicit dense basis inverse."""
 
     def __init__(self, model: LpModel, max_iters: int):
         A = model.constraints.tocsc()
@@ -127,24 +147,25 @@ class _Simplex:
         self.max_iters = max_iters
         self.bland = False  # set once cycling is suspected
         self.basis = np.arange(self.nv, self.nv + self.m, dtype=np.int64)
-        # the explicit inverse (Fortran order, for dger), or None while only
-        # the LU factors (lu, piv) of a refactor are held in _lu
-        self._binv = np.eye(self.m, order="F")
+        # the explicit basis inverse, row-major: pivots read and update rows
+        self.binv = np.eye(self.m)
         self.x_basic = b.copy()
         self.iterations = 0
         self.phase_iterations = [0, 0]
-        self._since_refactor = 0
+        self._since_refresh = 0
         self._degenerate_streak = 0
         self._cycle_guard = 1000 + 2 * (self.m + self.nv)
-        self._duals = None  # maintained incrementally, exact after refactor
+        self._duals = None  # maintained incrementally, refined by refresh
         self.feas_threshold = FEAS_TOL * (1.0 + float(np.abs(b).sum()))
         # the sorted columns priced
         if self.fixed_transport():
             self.greedy(model.constraints.tocsr())
             self.working = np.sort(self.basis[self.basis < self.nv])
+            self.dual_start = False
         else:
             self.crash()
             self.working = np.arange(self.nv)
+            self.dual_start = self.dual_feasible()
 
     def fixed_transport(self) -> bool:
         """Whether every right-hand side is positive and every column holds
@@ -220,67 +241,143 @@ class _Simplex:
         # permutation: its inverse is [[D^-1, 0], [-E D^-1, I]], and x_B is b
         entry, lens = _entries(A, cols)
         binv_cols = -A.data[entry] / np.repeat(pivots, lens)
-        self._binv[A.indices[entry], np.repeat(rows, lens)] = binv_cols
-        self._binv[rows, rows] = 1.0 / pivots
+        self.binv[A.indices[entry], np.repeat(rows, lens)] = binv_cols
+        self.binv[rows, rows] = 1.0 / pivots
+
+    def phase_costs(self, phase: int) -> np.ndarray:
+        """The costs of the model variables, then of the artificials: phase 1
+        minimises the artificials' mass, phase 2 and the dual simplex the
+        model's cost."""
+        if phase == 1:
+            return np.concatenate((np.zeros(self.nv), np.ones(self.m)))
+        return np.concatenate((self.cost, np.zeros(self.m)))
+
+    def dual_feasible(self) -> bool:
+        """Whether every model column prices at ``-OPT_TOL`` or above on the
+        model-cost duals of the current basis."""
+        duals = self.phase_costs(2)[self.basis] @ self.binv
+        reduced = self.cost - self.A_T @ duals
+        reduced[self.basis[self.basis < self.nv]] = 0.0
+        return bool((reduced >= -OPT_TOL).all())
+
+    def basis_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros of the basis as (row, position, value) arrays: the
+        entries of each position's model column, or an artificial's unit
+        entry."""
+        pos = np.flatnonzero(self.basis < self.nv)
+        art = np.flatnonzero(self.basis >= self.nv)
+        entry, lens = _entries(self.A, self.basis[pos])
+        return (
+            np.concatenate((self.A.indices[entry], self.basis[art] - self.nv)),
+            np.concatenate((np.repeat(pos, lens), art)),
+            np.concatenate((self.A.data[entry], np.ones(len(art)))),
+        )
+
+    def factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """LU factors of the dense basis (LAPACK ``dgetrf``)."""
+        rows, pos, values = self.basis_entries()
+        dense = np.zeros((self.m, self.m), order="F")
+        dense[rows, pos] = values
+        lu, piv, info = dgetrf(dense, overwrite_a=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular basis")
+        return lu, piv
 
     def refactor(self) -> None:
-        """LU-factor the basis and recompute x_B from the factors."""
-        dense = np.zeros((self.m, self.m), order="F")
-        pos = np.flatnonzero(self.basis < self.nv)
-        entry, lens = _entries(self.A, self.basis[pos])
-        dense[self.A.indices[entry], np.repeat(pos, lens)] = self.A.data[entry]
-        art = np.flatnonzero(self.basis >= self.nv)
-        dense[self.basis[art] - self.nv, art] = 1.0
-        if self.m == 0:  # a model with no rows; LAPACK rejects empty matrices
-            self._binv = dense
-        else:
-            lu, piv, info = dgetrf(dense, overwrite_a=1)
-            if info > 0:
-                raise np.linalg.LinAlgError("singular basis")
-            self._binv, self._lu = None, (lu, piv)
-        self.x_basic = self._solve(self.b)
-        self._since_refactor = 0
+        """Rebuild the inverse from an LU factorization of the basis, freeing
+        the held one first; x_B comes from the factors."""
+        self.binv = None
+        lu, piv = self.factor()
+        self.x_basic = dgetrs(lu, piv, self.b)[0]
+        # the default workspace is unblocked, several times slower
+        lwork = int(dgetri_lwork(self.m)[0])
+        # dgetri returns the inverse column-major; it is held row-major
+        self.binv = np.ascontiguousarray(dgetri(lu, piv, lwork=lwork, overwrite_lu=1)[0])
+        self._since_refresh = 0
         self._duals = None
 
-    def inverse(self) -> np.ndarray:
-        """The explicit basis inverse, formed over the LU factors on first use."""
-        if self._binv is None:
-            # the default workspace is unblocked, several times slower
-            lwork = int(dgetri_lwork(self.m)[0])
-            self._binv = dgetri(*self._lu, lwork=lwork, overwrite_lu=1)[0]
-        return self._binv
+    def refresh(self, costs: np.ndarray) -> None:
+        """Recompute x_B and the duals for ``costs`` from the held inverse.
 
-    def _solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
-        """B^-1 rhs, or B^-T rhs with ``trans``, from whichever form is held."""
-        if self._binv is not None:
-            return rhs @ self._binv if trans else self._binv @ rhs
-        return dgetrs(*self._lu, rhs, trans=trans)[0]
+        Each takes one step of iterative refinement against the sparse
+        basis, and then its residual is tested explicitly.  Only a failed
+        test refactors, and both are then taken from the rebuilt inverse.
+        """
+        x_basic, duals, accurate = self._refined(costs)
+        if not accurate:
+            self.refactor()
+            x_basic, duals, _ = self._refined(costs)
+        self.x_basic, self._duals = x_basic, duals
+        self._since_refresh = 0
+
+    def _refined(self, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+        """x_B and the duals from the held inverse, each refined once, and
+        whether both residuals are within ``FEAS_TOL`` and ``OPT_TOL`` of
+        their right-hand sides' scale."""
+        rows, pos, values = self.basis_entries()
+
+        def residual(rhs, solution, transposed):
+            # rhs - B solution, or rhs - B^T solution, over the basis entries
+            into, read = (pos, rows) if transposed else (rows, pos)
+            return rhs - np.bincount(into, values * solution[read], minlength=self.m)
+
+        binv, c_B = self.binv, costs[self.basis]
+        x_basic = binv @ self.b
+        x_basic += binv @ residual(self.b, x_basic, False)
+        duals = c_B @ binv
+        duals += residual(c_B, duals, True) @ binv
+        primal = np.abs(residual(self.b, x_basic, False)).max(initial=0.0)
+        dual = np.abs(residual(c_B, duals, True)).max(initial=0.0)
+        accurate = (
+            primal <= FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0))
+            and dual <= OPT_TOL * (1.0 + np.abs(c_B).max(initial=0.0))
+        )
+        return x_basic, duals, accurate
+
+    def finish(self) -> None:
+        """Free the held inverse and take x_B from one LU factorization of
+        the final basis."""
+        self.binv = None
+        if self.m:  # LAPACK rejects empty matrices
+            self.x_basic = dgetrs(*self.factor(), self.b)[0]
 
     def column(self, var: int) -> np.ndarray:
+        """Column ``var`` of B^-1 A."""
         start, end = self.A.indptr[var], self.A.indptr[var + 1]
-        return self.inverse()[:, self.A.indices[start:end]] @ self.A.data[start:end]
+        return self.binv[:, self.A.indices[start:end]] @ self.A.data[start:end]
 
     def apply_pivot(
-        self, entering: int, leave_pos: int, u: np.ndarray, d_entering: float = 0.0
+        self, entering: int, leave_pos: int, u: np.ndarray, step: float,
+        d_entering: float, degenerate: bool,
     ) -> None:
-        step = max(self.x_basic[leave_pos], 0.0) / u[leave_pos]
-        self.x_basic -= step * u
+        """Pivot ``entering``, whose column of B^-1 A is ``u``, into basis
+        position ``leave_pos`` at the value ``step``; ``degenerate`` marks a
+        pivot that leaves the objective as it was."""
+        if step != 0.0:
+            self.x_basic -= step * u
         self.x_basic[leave_pos] = step
-        binv = self.inverse()
+        binv = self.binv
         pivot_row = binv[leave_pos] / u[leave_pos]
-        # rank-1 basis-inverse update in place; it zeroes the leaving row,
-        # which the pivot row replaces
-        self._binv = dger(-1.0, u, pivot_row, a=binv, overwrite_a=1)
-        self._binv[leave_pos] = pivot_row
+        # rank-1 basis-inverse update in place, by dger on the transpose,
+        # which is column-major; it zeroes the leaving row, which the pivot
+        # row replaces.  Only the rows where u is nonzero change: on the
+        # grid models u has a median 7% of its entries nonzero, the pivot
+        # row 40%
+        rows = np.flatnonzero(u)
+        if 8 * len(rows) > self.m:
+            dger(-1.0, pivot_row, u, a=binv.T, overwrite_a=1)
+        else:
+            block = binv[rows]
+            dger(-1.0, pivot_row, u[rows], a=block.T, overwrite_a=1)
+            binv[rows] = block
+        binv[leave_pos] = pivot_row
         if self._duals is not None:
             # dual update: only the entering column's reduced cost changes sign
             self._duals = self._duals + d_entering * pivot_row
         self.basis[leave_pos] = entering
         self.iterations += 1
-        self._since_refactor += 1
-        if self._since_refactor >= REFACTOR_EVERY:
-            self.refactor()
-        if step <= 1e-12:
+        self._since_refresh += 1
+        if degenerate:
             self._degenerate_streak += 1
             if self._degenerate_streak > self._cycle_guard:
                 self.bland = True  # cycling suspected; Bland terminates
@@ -290,26 +387,24 @@ class _Simplex:
 
     def run_phase(self, phase: int) -> str:
         """Price-and-pivot until the phase objective is optimal.  Duals are
-        updated incrementally between refactors; apparent optimality is
-        re-checked once against duals from a fresh factorization.  Only
-        the working set's columns are priced, and at their optimum a sweep
-        over every column on those fresh duals refills the set; the phase
-        ends when the sweep finds no column to add."""
+        updated incrementally between refreshes; apparent optimality is
+        re-checked once against refreshed duals.  Only the working set's
+        columns are priced, and at their optimum a sweep over every column
+        on those duals refills the set; the phase ends when the sweep finds
+        no column to add."""
         self._duals = None
         verified = False
-        # the phase's costs of the model variables, then of the artificials
-        costs = np.concatenate(
-            (np.zeros(self.nv), np.ones(self.m)) if phase == 1
-            else (self.cost, np.zeros(self.m))
-        )
+        costs = self.phase_costs(phase)
         # cleanup_artificials may have pivoted in a column from outside
         self.working = np.union1d(self.working, self.basis[self.basis < self.nv])
         priced, A_T, model_cost, slot = self._priced(costs)
         while True:
             if self.iterations >= self.max_iters:
                 return "iteration-limit"
+            if self._since_refresh >= REFACTOR_EVERY:
+                self.refresh(costs)
             if self._duals is None:
-                self._duals = self._solve(costs[self.basis], trans=1)
+                self._duals = costs[self.basis] @ self.binv
             reduced = priced - A_T @ self._duals
             # basic columns price at 0; scattering over the m basis positions
             # is cheaper than a mask over every column
@@ -318,7 +413,7 @@ class _Simplex:
             entering = int(np.argmin(reduced))
             if reduced[entering] >= -OPT_TOL:
                 if not verified:
-                    self.refactor()
+                    self.refresh(costs)
                     verified = True
                     continue
                 if not self.refill(costs):
@@ -347,8 +442,86 @@ class _Simplex:
             best = float(np.min(ratios))
             ties = blockers[ratios <= best + 1e-12]
             leave_pos = int(ties[np.argmin(self.basis[ties])])
-            self.apply_pivot(entering, leave_pos, u, d_entering)
+            step = max(self.x_basic[leave_pos], 0.0) / u[leave_pos]
+            self.apply_pivot(entering, leave_pos, u, step, d_entering, step <= 1e-12)
             self.phase_iterations[phase - 1] += 1
+
+    def run_dual(self) -> str:
+        """Dual simplex from a dual feasible basis until x_B is feasible.
+
+        The leaving position holds the largest primal infeasibility: |x| for
+        an artificial, whose only feasible value is 0, and -x for a model
+        column.  A nonbasic model column is eligible when its entry alpha_j
+        in the leaving row of B^-1 A exceeds ``PIVOT_TOL`` with the sign of
+        the leaving value, and the one with the least ratio d_j/|alpha_j|
+        enters.  Near-ties, the ratios up to the largest step that keeps
+        every eligible reduced cost at ``-OPT_TOL`` or above, go to the
+        cheapest column, then the lowest index, as in the primal.  A row
+        with no eligible column proves the model infeasible.  Reduced costs
+        are updated along the leaving row between refreshes, and a status
+        is reported only on refreshed x_B and duals.  Once the cycle guard
+        trips, the infeasible position with the lowest basic index leaves
+        and the tied column with the lowest index enters.
+        """
+        costs = self.phase_costs(2)
+        self._duals = None
+        reduced = None
+        verified = False
+        while True:
+            if self.iterations >= self.max_iters:
+                return "iteration-limit"
+            if self._since_refresh >= REFACTOR_EVERY:
+                self.refresh(costs)
+                reduced = None
+            if reduced is None:
+                if self._duals is None:
+                    self._duals = costs[self.basis] @ self.binv
+                reduced = self.cost - self.A_T @ self._duals
+                # the reduced costs are updated along the leaving row, so
+                # apply_pivot need not update the duals
+                self._duals = None
+            artificial = self.basis >= self.nv
+            infeasibility = np.where(artificial, np.abs(self.x_basic), -self.x_basic)
+            status = "optimal" if infeasibility.max(initial=0.0) <= FEAS_TOL else None
+            if status is None:
+                if self.bland:
+                    rows = np.flatnonzero(infeasibility > FEAS_TOL)
+                    leave_pos = int(rows[np.argmin(self.basis[rows])])
+                else:
+                    leave_pos = int(np.argmax(infeasibility))
+                # the leaving row of B^-1 A, signed so that eligible entries
+                # are positive
+                alpha = self.A_T @ self.binv[leave_pos]
+                if self.x_basic[leave_pos] < 0.0:
+                    np.negative(alpha, out=alpha)
+                eligible = alpha > PIVOT_TOL
+                eligible[self.basis[~artificial]] = False
+                eligible = np.flatnonzero(eligible)
+                if eligible.size == 0:
+                    status = "infeasible"
+            if status is not None:
+                if verified:
+                    return status
+                self.refresh(costs)
+                reduced = None
+                verified = True
+                continue
+            verified = False
+            d, a = np.maximum(reduced[eligible], 0.0), alpha[eligible]
+            ratios = d / a
+            if self.bland:
+                entering = int(eligible[np.argmax(ratios <= ratios.min() + 1e-12)])
+            else:
+                near = eligible[ratios <= ((d + OPT_TOL) / a).min()]
+                entering = int(near[np.argmin(self.cost[near])])
+            d_entering = float(reduced[entering])
+            u = self.column(entering)
+            step = self.x_basic[leave_pos] / u[leave_pos]
+            dual_step = max(d_entering, 0.0) / alpha[entering]
+            self.apply_pivot(entering, leave_pos, u, step, d_entering, dual_step <= 1e-12)
+            reduced -= (d_entering / alpha[entering]) * alpha
+            reduced[self.basis[self.basis < self.nv]] = 0.0
+            self.phase_iterations[0] += 1
 
     def _priced(self, costs: np.ndarray):
         """What pricing reads of the priced columns, in working-set order:
@@ -383,18 +556,32 @@ class _Simplex:
     def cleanup_artificials(self) -> None:
         """Pivot out every leftover artificial that a column can replace.
 
-        After a feasible start or phase 1 every basic artificial sits at
-        ~zero.  One that no column can replace sits on a dependent row: its
-        row of B^-1 A is zero for every column, and stays zero under later
-        pivots, so it stays basic at zero and no ratio test reads it.
+        After a feasible start, phase 1 or the dual simplex every basic
+        artificial sits at ~zero.  One that no column can replace sits on a
+        dependent row: its row of B^-1 A is zero for every column, and
+        stays zero under later pivots, so it stays basic at zero and no
+        ratio test reads it.  One sweep of A^T over their rows of B^-1
+        tests every leftover artificial, in position order; a pivot changes
+        B^-1, so the ones after it are swept again.  A sweep holds at most
+        ``MAX_BASIS_BYTES`` of rows.
         """
-        for pos in np.nonzero(self.basis >= self.nv)[0]:
-            row_vec = self.A_T @ self._solve(np.eye(1, self.m, pos)[0], trans=1)
-            row_vec[self.basis[self.basis < self.nv]] = 0.0
-            candidates = np.nonzero(np.abs(row_vec) > 1e-7)[0]
-            if candidates.size:
-                entering = int(candidates[np.argmax(np.abs(row_vec[candidates]))])
-                self.apply_pivot(entering, int(pos), self.column(entering))
+        left = np.flatnonzero(self.basis >= self.nv)
+        block = max(1, MAX_BASIS_BYTES // (8 * max(self.nv, 1)))
+        while left.size:
+            # one row per artificial: numpy reduces a long row far faster
+            # than a long column
+            sweep = np.ascontiguousarray(np.abs(self.A_T @ self.binv[left[:block]].T).T)
+            sweep[:, self.basis[self.basis < self.nv]] = 0.0
+            replaceable = np.flatnonzero(sweep.max(axis=1, initial=0.0) > 1e-7)
+            if replaceable.size == 0:
+                left = left[block:]
+                continue
+            first = int(replaceable[0])
+            entering, pos = int(np.argmax(sweep[first])), int(left[first])
+            u = self.column(entering)
+            step = max(self.x_basic[pos], 0.0) / u[pos]
+            self.apply_pivot(entering, pos, u, step, 0.0, step <= 1e-12)
+            left = left[first + 1:]
 
     def solution(self, status: str) -> LpSolution:
         values = np.zeros(self.nv)
@@ -414,7 +601,7 @@ class _Simplex:
 
 
 def solve(model: LpModel, *, max_iters: int = 100_000) -> LpSolution:
-    """Minimize the model with a two-phase dense-basis revised simplex.
+    """Minimize the model with a dense-basis revised simplex.
 
     Deterministic for fixed options.  Returns a basic (vertex) solution
     when optimal; failures are reported in ``status``, never silently.
@@ -426,11 +613,14 @@ def solve(model: LpModel, *, max_iters: int = 100_000) -> LpSolution:
         return LpSolution("too-large", math.nan, np.zeros(model.num_vars), np.empty(0, np.int64), 0)
     state = _Simplex(model, max_iters)
 
-    # the start's x_basic is exact or freshly factored, and run_phase
-    # reports "optimal" only straight after its own refactor, so x_basic is
-    # freshly computed at both phase ends; phase 1 runs only when the
-    # start is infeasible
-    if state.infeasibility() > state.feas_threshold:
+    # a dual feasible crash start reaches the optimum by the dual simplex;
+    # another start runs phase 1 only when it is infeasible.  Both loops
+    # report "optimal" only on refreshed x_B and duals
+    if state.dual_start:
+        status = state.run_dual()
+        if status != "optimal":
+            return state.solution(status)
+    elif state.infeasibility() > state.feas_threshold:
         status = state.run_phase(1)
         if status != "optimal":
             return state.solution(status)
@@ -441,6 +631,7 @@ def solve(model: LpModel, *, max_iters: int = 100_000) -> LpSolution:
     status = state.run_phase(2)
     if status != "optimal":
         return state.solution(status)
+    state.finish()
     result = state.solution("optimal")
     residual = np.abs(model.constraints @ result.values - model.rhs).max()
     if residual > 1e-7:

@@ -15,7 +15,10 @@ Two construction regimes exist: ``exact`` walks every combination and
 deduplicates (exponential effort), ``grid`` reads the same atlas of
 lattice-supported measures with uniform weights off convolutions of their
 cell indicators on the refined lattice (polynomial effort).  On lattice
-data the two atlases are equal arrays; the regime only sets the cost.
+data the two atlases hold equal multiplicities and incidence arrays, and
+the same points: equal arrays on integer lattices, while off them a
+coordinate may differ by an ulp, as the two regimes compute the points
+by different arithmetic.  The regime sets the cost.
 """
 
 from __future__ import annotations
@@ -150,10 +153,12 @@ class SupportAtlas:
     to candidate j, sorted by i, then k; ``sources(j)`` reads them as
     tuples: the pairs some combination landing on j uses.
     ``multiplicity[j]`` counts the combinations collapsing onto candidate
-    j.  Both regimes hold equal arrays on lattice data; the grid regime
-    reads them off convolutions (see ``build_atlas_grid``).  The exact
-    regime also stores the candidate of every combination, by ordinal;
-    ``combination_candidates`` returns it in both regimes.
+    j.  On lattice data both regimes hold equal multiplicities and
+    incidence, and points equal up to an ulp (exactly equal on integer
+    lattices); the grid regime reads them off convolutions (see
+    ``build_atlas_grid``).  The exact regime also stores the candidate of
+    every combination, by ordinal; ``combination_candidates`` returns it
+    in both regimes.
     """
 
     support_points: np.ndarray = field(repr=False)
@@ -426,26 +431,6 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     times faster than ``np.unique``, which hashes them."""
     codes = np.sort(codes)
     return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-
-
-def _comb_or_zero(a: int, b: int) -> int:
-    if a < 0 or b < 0 or a < b:
-        return 0
-    return math.comb(a, b)
-
-
-def count_dice(total: int, sides: int, dice: int) -> int:
-    """Number of ``dice``-tuples in {1..sides} summing to ``total``.
-
-    Inclusion-exclusion in exact integer arithmetic; sums outside
-    [dice, dice*sides] count zero.
-    """
-    if sides < 1 or dice < 1:
-        raise ValueError(f"need sides >= 1 and dice >= 1, got {sides}, {dice}")
-    return sum(
-        (-1) ** m * math.comb(dice, m) * _comb_or_zero(total - m * sides - 1, dice - 1)
-        for m in range(dice + 1)
-    )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
-"""Shared fixtures and small instance builders."""
+"""Shared fixtures, small instance builders and the dice count."""
+
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +20,27 @@ def problem(measures, weights=None, grid=None):
     if weights is None:
         weights = uniform_weights(len(measures))
     return Problem(measures, tuple(float(w) for w in weights), grid=grid)
+
+
+def _comb_or_zero(a: int, b: int) -> int:
+    if a < 0 or b < 0 or a < b:
+        return 0
+    return math.comb(a, b)
+
+
+def count_dice(total: int, sides: int, dice: int) -> int:
+    """Number of ``dice``-tuples in {1..sides} summing to ``total``: the
+    multiplicity of a full-grid candidate per axis, in closed form.
+
+    Inclusion-exclusion in exact integer arithmetic; sums outside
+    [dice, dice*sides] count zero.
+    """
+    if sides < 1 or dice < 1:
+        raise ValueError(f"need sides >= 1 and dice >= 1, got {sides}, {dice}")
+    return sum(
+        (-1) ** m * math.comb(dice, m) * _comb_or_zero(total - m * sides - 1, dice - 1)
+        for m in range(dice + 1)
+    )
 
 
 def assert_atlases_equal(grid, exact, p):

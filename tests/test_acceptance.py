@@ -30,9 +30,10 @@ from barylp.solver import extract_barycenter, solve
 from barylp.support import (
     build_atlas_exact,
     build_atlas_grid,
-    count_dice,
     hybrid_split,
 )
+
+from conftest import count_dice
 
 SEED = 20260810
 

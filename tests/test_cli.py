@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -272,7 +273,7 @@ class TestSolve:
                 doc = json.loads(Path(cli._suffixed(out, name)).read_text())
                 docs.append({key: doc[key] for key in ("support", "transport", "verification")})
         digest = hashlib.sha256(json.dumps(rounded(docs), sort_keys=True).encode()).hexdigest()
-        assert digest == "d65d43ee7307b55a6c64893d762f3f54d38f1540c737201cb3c9a81ee4ab50aa"
+        assert digest == "c33f3e9bd14b5716043cf327d24d2582d8100193618caed419d1c28570cc5e70"
 
     def test_grid_csv_input(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -555,6 +556,25 @@ class TestCompare:
                 cols[parts[0]] = int(parts[2])
         assert cols["hybrid"] < min(cols["reduced"], cols["general"], cols["original"])
 
+
+    @pytest.mark.parametrize(
+        "offset,shown", [(0.0, "< 1e-12"), (1e-15, "< 1e-12"), (2.5e-9, "2.5e-09")]
+    )
+    def test_spread_below_1e_12_is_not_printed(
+        self, monkeypatch, small_path, capsys, offset, shown
+    ):
+        # an objective moved by a few ulps leaves stdout as it was
+        run = cli._run
+
+        def shifted(name, *args):
+            model, solution, bary = run(name, *args)
+            if name == "general":
+                solution = replace(solution, objective_value=solution.objective_value + offset)
+            return model, solution, bary
+
+        monkeypatch.setattr(cli, "_run", shifted)
+        assert main(["compare", small_path]) == 0
+        assert f"objective agreement: OK (spread {shown})\n" in capsys.readouterr().out
 
     def test_unsolved_formulation_keeps_the_other_rows(self, gp552_path, capsys):
         capsys.readouterr()

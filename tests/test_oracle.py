@@ -14,9 +14,9 @@ from barylp.oracle import (
     mean_key,
 )
 from barylp.solver import solve
-from barylp.support import build_atlas_exact, count_dice
+from barylp.support import build_atlas_exact
 
-from conftest import measure, problem
+from conftest import count_dice, measure, problem
 
 
 class TestDiceEnumeration:

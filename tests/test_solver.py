@@ -1,5 +1,6 @@
 """Simplex solver, MPS export, extraction, verification."""
 
+import copy
 import io
 import math
 from dataclasses import replace
@@ -296,6 +297,24 @@ def reference_crash(model):
     return {row: c for row, (_, c) in best.items()}
 
 
+def count_lapack(monkeypatch):
+    """Patch the LU factorization and the inversion to count their calls."""
+    calls = {"dgetrf": 0, "dgetri": 0}
+
+    def counting(name):
+        routine = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return routine(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name))
+    return calls
+
+
 class TestCrashBasis:
     @pytest.mark.parametrize("instance", ["grid", "mixed"])
     @pytest.mark.parametrize("formulation", ["original", "reduced", "hybrid"])
@@ -315,7 +334,7 @@ class TestCrashBasis:
         full = sp.hstack([model.constraints, sp.identity(m)], format="csc")
         basis_matrix = full[:, state.basis].toarray()
         assert np.linalg.matrix_rank(basis_matrix) == m
-        assert np.allclose(state.inverse() @ basis_matrix, np.eye(m), atol=1e-10)
+        assert np.allclose(state.binv @ basis_matrix, np.eye(m), atol=1e-10)
         # the crash writes its inverse out, so x_B is b exactly
         assert np.array_equal(state.x_basic, model.rhs)
 
@@ -337,26 +356,14 @@ class TestCrashBasis:
         state = _Simplex(model, 100)
         full = sp.hstack([model.constraints, sp.identity(state.m)], format="csc")
         expected = np.linalg.inv(full[:, state.basis].toarray())
-        assert np.abs(state.inverse() - expected).max() <= 1e-12
+        assert np.abs(state.binv - expected).max() <= 1e-12
 
     def test_optimal_start_basis_forms_no_inverse(self, monkeypatch):
         # every row has b = 0 and crashes onto columns 0 and 1, which are
-        # optimal; the start is feasible, so phase 1 is skipped, and the end
-        # of phase 2 only factors the basis to check optimality
+        # optimal; the start is feasible and dual feasible, so no loop
+        # pivots, and only the final basis is factored, to report x_B
         model = raw_model([1.0, 1.0, 3.0], [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [0.0, 0.0])
-        calls = {"dgetrf": 0, "dgetri": 0}
-
-        def counting(name):
-            routine = getattr(solver, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return routine(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(solver, name, counting(name))
+        calls = count_lapack(monkeypatch)
         solution = solve(model)
         assert solution.status == "optimal" and solution.iterations == 0
         assert solution.objective_value == 0.0
@@ -364,14 +371,227 @@ class TestCrashBasis:
         assert solution.phase_iterations == (0, 0)
 
     def test_refactor_inverts_a_symmetric_basis(self):
-        # factor and invert in place (dgetrf, then dgetri on first use); a
+        # factor and invert in place (dgetrf, then dgetri); a
         # symmetric basis once crashed a structure-detecting inversion
         model = raw_model([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [2.0, 1.0])
         state = _Simplex(model, 100)
         state.basis[:] = [0, 1]
         state.refactor()
-        assert np.allclose(state.inverse(), [[0.0, 1.0], [1.0, -1.0]])
+        assert np.allclose(state.binv, [[0.0, 1.0], [1.0, -1.0]])
         assert np.allclose(state.x_basic, [1.0, 1.0])
+
+
+def dual_model(instance, formulation):
+    """A crash-started model on a grid, mixed or general-position draw."""
+    if instance != "gp":
+        return crash_model(instance, formulation)
+    p = generators.general_position(3, 3, 2, seed=1)
+    return {"original": build_original, "reduced": build_reduced}[formulation](
+        build_atlas_exact(p), p
+    )
+
+
+def general_objective(instance):
+    p = {
+        "grid": lambda: generators.grid(3, 3, 2, seed=44),
+        "mixed": lambda: generators.mixed(3, 3, 1, seed=7),
+        "gp": lambda: generators.general_position(3, 3, 2, seed=1),
+    }[instance]()
+    return solve(build_general(p)).objective_value
+
+
+def record_loops(monkeypatch):
+    """Patch the simplex loops to append "dual", 1 or 2 to a list as they run."""
+    loops = []
+    run_dual, run_phase = _Simplex.run_dual, _Simplex.run_phase
+
+    def recording_dual(self):
+        loops.append("dual")
+        return run_dual(self)
+
+    def recording_phase(self, phase):
+        loops.append(phase)
+        return run_phase(self, phase)
+
+    monkeypatch.setattr(_Simplex, "run_dual", recording_dual)
+    monkeypatch.setattr(_Simplex, "run_phase", recording_phase)
+    return loops
+
+
+# on general-position data no candidate is on y, so hybrid starts greedy
+DUAL_CASES = [
+    (instance, formulation)
+    for instance in ("grid", "mixed", "gp")
+    for formulation in ("original", "reduced", "hybrid")
+    if (instance, formulation) != ("gp", "hybrid")
+]
+
+
+class TestDualSimplex:
+    @pytest.mark.parametrize("instance,formulation", DUAL_CASES)
+    def test_crash_started_models_take_the_dual_loop(
+        self, monkeypatch, instance, formulation
+    ):
+        model = dual_model(instance, formulation)
+        assert _Simplex(model, 100).dual_start
+        loops = record_loops(monkeypatch)
+        solution = solve(model)
+        assert loops == ["dual", 2]
+        assert solution.status == "optimal"
+        assert solution.phase_iterations[0] > 0
+        assert solution.objective_value == pytest.approx(
+            general_objective(instance), abs=1e-12
+        )
+        assert_vertex(model, solution)
+        assert_optimal_on_every_column(model, solution)
+
+    def test_inconsistent_marginals_are_infeasible_in_the_dual_loop(self, monkeypatch):
+        model = crash_model("grid", "reduced")
+        rhs = model.rhs.copy()
+        rhs[len(model.balance):][model.marginal[:, 0] == 0] *= 1.5
+        model = replace(model, rhs=rhs)
+        assert _Simplex(model, 100).dual_start
+        loops = record_loops(monkeypatch)
+        assert solve(model).status == "infeasible"
+        assert loops == ["dual"]
+
+    def test_start_that_is_not_dual_feasible_runs_phase_1(self, monkeypatch):
+        # row 1 has b = 0 and crashes onto column 1; column 3, only in row 0,
+        # costs -1 and prices below 0 on the start's duals
+        model = raw_model(
+            [1.0, 1.0, 1.0, -1.0], [[1.0, 1.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0]], [1.0, 0.0]
+        )
+        state = _Simplex(model, 100)
+        assert state.basis[1] == 1 and not state.dual_start
+        loops = record_loops(monkeypatch)
+        solution = solve(model)
+        assert loops == [1, 2]
+        assert solution.status == "optimal"
+        assert solution.objective_value == pytest.approx(-1.0, abs=1e-12)
+        assert solution.phase_iterations[0] > 0
+        assert_vertex(model, solution)
+
+    def test_corrupted_inverse_fails_the_residual_test(self, monkeypatch):
+        model = crash_model("grid", "reduced")
+        expected = solve(model).objective_value
+        calls = count_lapack(monkeypatch)
+        checks = []
+        refresh, refined = _Simplex.refresh, _Simplex._refined
+
+        def corrupting_refresh(self, costs):
+            if not checks:
+                self.binv *= 1.01
+            refresh(self, costs)
+
+        def recording_refined(self, costs):
+            result = refined(self, costs)
+            checks.append(result[2])
+            return result
+
+        monkeypatch.setattr(_Simplex, "refresh", corrupting_refresh)
+        monkeypatch.setattr(_Simplex, "_refined", recording_refined)
+        solution = solve(model)
+        # the corrupted inverse fails, the rebuilt one passes, later checks pass
+        assert checks[:2] == [False, True] and all(checks[1:])
+        assert calls == {"dgetrf": 2, "dgetri": 1}
+        assert solution.status == "optimal"
+        assert solution.objective_value == pytest.approx(expected, abs=1e-12)
+        assert_vertex(model, solution)
+
+    def test_grid_reduced_factors_once_and_never_inverts(self, monkeypatch):
+        # over 400 pivots: the residual checks every REFACTOR_EVERY pivots
+        # and at the phase ends read the held inverse, and only the final
+        # basis is factored
+        p = generators.grid(4, 4, 2, seed=1)
+        model = build_reduced(build_atlas_grid(p), p)
+        calls = count_lapack(monkeypatch)
+        solution = solve(model)
+        assert solution.status == "optimal"
+        assert solution.iterations > 2 * solver.REFACTOR_EVERY
+        assert calls == {"dgetrf": 1, "dgetri": 0}
+
+    @pytest.mark.parametrize("instance", ["grid", "mixed"])
+    def test_smallest_index_rule_reaches_the_optimum(self, monkeypatch, instance):
+        # a guard of 0 hands the dual loop to the smallest-index rule at its
+        # first degenerate pivot
+        model = crash_model(instance, "reduced")
+        states = []
+        init = _Simplex.__init__
+
+        def guarded_init(self, *args):
+            init(self, *args)
+            self._cycle_guard = 0
+            states.append(self)
+
+        monkeypatch.setattr(_Simplex, "__init__", guarded_init)
+        solution = solve(model)
+        assert [state.bland for state in states] == [True]
+        assert solution.status == "optimal"
+        assert solution.objective_value == pytest.approx(
+            general_objective(instance), abs=1e-12
+        )
+        assert_vertex(model, solution)
+
+
+def reference_cleanup(state):
+    """Pivot out leftover artificials with one sweep of A^T per artificial."""
+    for pos in np.flatnonzero(state.basis >= state.nv):
+        row = state.A_T @ state.binv[pos]
+        row[state.basis[state.basis < state.nv]] = 0.0
+        candidates = np.flatnonzero(np.abs(row) > 1e-7)
+        if candidates.size:
+            entering = int(candidates[np.argmax(np.abs(row[candidates]))])
+            u = state.column(entering)
+            step = max(state.x_basic[pos], 0.0) / u[pos]
+            state.apply_pivot(entering, int(pos), u, step, 0.0, step <= 1e-12)
+
+
+class CountingProduct:
+    """Stands in for ``A_T`` and counts the products taken with it."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.matrix @ other
+
+
+class TestCleanup:
+    @pytest.mark.parametrize("instance", ["general", "zero-rows"])
+    def test_one_sweep_per_pivot_and_the_same_pivots(self, monkeypatch, instance):
+        if instance == "general":
+            # n - 1 = 3 artificials on dependent marginal rows, none replaced
+            model = build_general(generators.general_position(4, 3, 2, seed=2))
+            leftover, sweeps = 3, 1
+        else:
+            # b = 0 rows 2 and 3 have no crash column, so their artificials
+            # stay basic at zero through the dual loop; columns replace both
+            model = raw_model(
+                [2.0, 2.0, 2.0, 3.0, 1.0, 4.0],
+                [[2, 1, 1, 0, 2, 1], [0, 2, 0, 0, 2, 0], [0, 0, 1, 2, 0, 0], [0, 0, 2, 2, 0, 0]],
+                [6.0, 4.0, 0.0, 0.0],
+            )
+            leftover, sweeps = 2, 2
+        seen = []
+        cleanup = _Simplex.cleanup_artificials
+
+        def comparing_cleanup(self):
+            reference = copy.deepcopy(self)
+            reference_cleanup(reference)
+            counter = self.A_T = CountingProduct(self.A_T)
+            assert np.count_nonzero(self.basis >= self.nv) == leftover
+            cleanup(self)
+            self.A_T = counter.matrix
+            assert np.array_equal(self.basis, reference.basis)
+            assert self.iterations == reference.iterations
+            seen.append(counter.products)
+
+        monkeypatch.setattr(_Simplex, "cleanup_artificials", comparing_cleanup)
+        solution = solve(model)
+        assert solution.status == "optimal"
+        assert seen == [sweeps]
+        assert_vertex(model, solution)
 
 
 def reference_greedy(model):

@@ -18,12 +18,11 @@ from barylp.support import (
     build_atlas_exact,
     build_atlas_grid,
     combination_chunks,
-    count_dice,
     hybrid_split,
     _lexsort_rows,
 )
 
-from conftest import assert_atlases_equal, measure, problem
+from conftest import assert_atlases_equal, count_dice, measure, problem
 
 
 def kernel(p, ordinals=None, weights=None, cap=10**8):
