@@ -27,17 +27,17 @@ balanced marginals does not, then phase 2 (``run_phase``).  Between the
 two, leftover artificials that a column can replace are pivoted out;
 phase 2 then also confirms a dual simplex's optimum.  The inverse is
 held row-major.  Each pivot's rank-1 change to it touches only the rows
-where the entering column of B^-1 A is nonzero; when at most m/8 are,
+where the entering column of B^-1 A is nonzero; when at most m/5 are,
 ``dger`` updates just those rows, gathered, and otherwise the whole
 inverse.  A pivot with a zero step leaves x_B as it is.
 
 Verify.  At each phase end, and every ``REFACTOR_EVERY`` pivots, x_B and
-the duals are recomputed from the held inverse, each refined once against
-the sparse basis, and their residuals are tested explicitly (``refresh``);
-only a failed test LU-factors the basis and rebuilds the inverse.  A
-status is reported only on refreshed values.  An optimal solve frees the
-inverse, factors the final basis once to report x_B, and checks the
-residual of A x = b.
+the duals are recomputed from the held inverse, their residuals against
+the sparse basis are tested explicitly, and each is refined once
+(``refresh``); only a failed test LU-factors the basis and rebuilds the
+inverse.  A status is reported only on refreshed values.  An optimal
+solve frees the inverse, factors the final basis once to report an x_B
+that depends on that basis alone, and checks the residual of A x = b.
 
 The model keeps every row, although the marginal rows carry n - 1
 dependencies: an artificial that no column can replace after the start,
@@ -156,7 +156,10 @@ class _Simplex:
         self._degenerate_streak = 0
         self._cycle_guard = 1000 + 2 * (self.m + self.nv)
         self._duals = None  # maintained incrementally, refined by refresh
+        # the phase-1 objective's tolerance, and a basic value's or a
+        # residual entry's: both scale with the right-hand side
         self.feas_threshold = FEAS_TOL * (1.0 + float(np.abs(b).sum()))
+        self.feas_tol = FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
         # the sorted columns priced
         if self.fixed_transport():
             self.greedy(model.constraints.tocsr())
@@ -299,9 +302,10 @@ class _Simplex:
     def refresh(self, costs: np.ndarray) -> None:
         """Recompute x_B and the duals for ``costs`` from the held inverse.
 
-        Each takes one step of iterative refinement against the sparse
-        basis, and then its residual is tested explicitly.  Only a failed
-        test refactors, and both are then taken from the rebuilt inverse.
+        The residuals of both are tested explicitly against the sparse
+        basis, and then each takes one step of iterative refinement.  Only
+        a failed test refactors, and both are then taken from the rebuilt
+        inverse.
         """
         x_basic, duals, accurate = self._refined(costs)
         if not accurate:
@@ -312,8 +316,10 @@ class _Simplex:
 
     def _refined(self, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
         """x_B and the duals from the held inverse, each refined once, and
-        whether both residuals are within ``FEAS_TOL`` and ``OPT_TOL`` of
-        their right-hand sides' scale."""
+        whether the inverse is accurate: the residuals before refinement
+        within ``feas_tol``, and ``OPT_TOL`` times the costs' scale.  The
+        refined residuals would be about the square of the inverse's error,
+        and pivots read the inverse unrefined."""
         rows, pos, values = self.basis_entries()
 
         def residual(rhs, solution, transposed):
@@ -323,20 +329,30 @@ class _Simplex:
 
         binv, c_B = self.binv, costs[self.basis]
         x_basic = binv @ self.b
-        x_basic += binv @ residual(self.b, x_basic, False)
+        primal = residual(self.b, x_basic, False)
+        x_basic += binv @ primal
         duals = c_B @ binv
-        duals += residual(c_B, duals, True) @ binv
-        primal = np.abs(residual(self.b, x_basic, False)).max(initial=0.0)
-        dual = np.abs(residual(c_B, duals, True)).max(initial=0.0)
+        dual = residual(c_B, duals, True)
+        duals += dual @ binv
         accurate = (
-            primal <= FEAS_TOL * (1.0 + np.abs(self.b).max(initial=0.0))
-            and dual <= OPT_TOL * (1.0 + np.abs(c_B).max(initial=0.0))
+            np.abs(primal).max(initial=0.0) <= self.feas_tol
+            and np.abs(dual).max(initial=0.0) <= OPT_TOL * (1.0 + np.abs(c_B).max(initial=0.0))
         )
         return x_basic, duals, accurate
 
     def finish(self) -> None:
         """Free the held inverse and take x_B from one LU factorization of
-        the final basis."""
+        the final basis.
+
+        The refreshed x_B passed the residual test already, but its last
+        bits depend on the pivots that built the inverse; x_B from the
+        factors depends on the final basis alone.  So two solves that end
+        on the same basis report the same values, bit for bit, and so do
+        the solution files written from them, whatever updates built the
+        inverse.  On the gp-fixed benchmark models (seed 1) the refreshed
+        x_B differs from the factored one in the last bit of 23-33 values
+        per model.
+        """
         self.binv = None
         if self.m:  # LAPACK rejects empty matrices
             self.x_basic = dgetrs(*self.factor(), self.b)[0]
@@ -360,11 +376,14 @@ class _Simplex:
         pivot_row = binv[leave_pos] / u[leave_pos]
         # rank-1 basis-inverse update in place, by dger on the transpose,
         # which is column-major; it zeroes the leaving row, which the pivot
-        # row replaces.  Only the rows where u is nonzero change: on the
-        # grid models u has a median 7% of its entries nonzero, the pivot
-        # row 40%
+        # row replaces.  Only the rows where u is nonzero change, and dger
+        # on just those, gathered, is faster while they are at most a fifth
+        # of m: the copies in and out cost as much as the update past about
+        # 20-25% at m = 330-1560 (one BLAS thread).  u is a median 6%
+        # nonzero on the grid-reduced models, and 87% on the small
+        # fixed-transport bases of gp-fixed
         rows = np.flatnonzero(u)
-        if 8 * len(rows) > self.m:
+        if 5 * len(rows) > self.m:
             dger(-1.0, pivot_row, u, a=binv.T, overwrite_a=1)
         else:
             block = binv[rows]
@@ -482,10 +501,10 @@ class _Simplex:
                 self._duals = None
             artificial = self.basis >= self.nv
             infeasibility = np.where(artificial, np.abs(self.x_basic), -self.x_basic)
-            status = "optimal" if infeasibility.max(initial=0.0) <= FEAS_TOL else None
+            status = "optimal" if infeasibility.max(initial=0.0) <= self.feas_tol else None
             if status is None:
                 if self.bland:
-                    rows = np.flatnonzero(infeasibility > FEAS_TOL)
+                    rows = np.flatnonzero(infeasibility > self.feas_tol)
                     leave_pos = int(rows[np.argmin(self.basis[rows])])
                 else:
                     leave_pos = int(np.argmax(infeasibility))
@@ -560,28 +579,17 @@ class _Simplex:
         artificial sits at ~zero.  One that no column can replace sits on a
         dependent row: its row of B^-1 A is zero for every column, and
         stays zero under later pivots, so it stays basic at zero and no
-        ratio test reads it.  One sweep of A^T over their rows of B^-1
-        tests every leftover artificial, in position order; a pivot changes
-        B^-1, so the ones after it are swept again.  A sweep holds at most
-        ``MAX_BASIS_BYTES`` of rows.
+        ratio test reads it.
         """
-        left = np.flatnonzero(self.basis >= self.nv)
-        block = max(1, MAX_BASIS_BYTES // (8 * max(self.nv, 1)))
-        while left.size:
-            # one row per artificial: numpy reduces a long row far faster
-            # than a long column
-            sweep = np.ascontiguousarray(np.abs(self.A_T @ self.binv[left[:block]].T).T)
-            sweep[:, self.basis[self.basis < self.nv]] = 0.0
-            replaceable = np.flatnonzero(sweep.max(axis=1, initial=0.0) > 1e-7)
-            if replaceable.size == 0:
-                left = left[block:]
-                continue
-            first = int(replaceable[0])
-            entering, pos = int(np.argmax(sweep[first])), int(left[first])
-            u = self.column(entering)
-            step = max(self.x_basic[pos], 0.0) / u[pos]
-            self.apply_pivot(entering, pos, u, step, 0.0, step <= 1e-12)
-            left = left[first + 1:]
+        for pos in np.flatnonzero(self.basis >= self.nv):
+            row = self.A_T @ self.binv[pos]
+            row[self.basis[self.basis < self.nv]] = 0.0
+            candidates = np.flatnonzero(np.abs(row) > 1e-7)
+            if candidates.size:
+                entering = int(candidates[np.argmax(np.abs(row[candidates]))])
+                u = self.column(entering)
+                step = max(self.x_basic[pos], 0.0) / u[pos]
+                self.apply_pivot(entering, int(pos), u, step, 0.0, step <= 1e-12)
 
     def solution(self, status: str) -> LpSolution:
         values = np.zeros(self.nv)

@@ -1,9 +1,9 @@
 """Simplex solver, MPS export, extraction, verification."""
 
-import copy
 import io
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,7 +204,7 @@ class TestSolve:
             model = build_general(generators.general_position(3, 3, 2, seed=0))
             dependent = 2
         else:
-            # not fixed-transport, so it starts on artificials and runs phase 1
+            # not fixed-transport, so it starts on artificials
             model = raw_model(
                 [1.0, 2.0, 3.0], [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 2.0, 0.0]],
                 [1.0, 1.0, 1.0],
@@ -471,7 +471,10 @@ class TestDualSimplex:
         assert solution.phase_iterations[0] > 0
         assert_vertex(model, solution)
 
-    def test_corrupted_inverse_fails_the_residual_test(self, monkeypatch):
+    @pytest.mark.parametrize("error", [1e-2, 1e-6])
+    def test_corrupted_inverse_fails_the_residual_test(self, monkeypatch, error):
+        # a relative error of 1e-6 leaves refined values accurate to about
+        # 1e-12, so the test must read the residuals before refinement
         model = crash_model("grid", "reduced")
         expected = solve(model).objective_value
         calls = count_lapack(monkeypatch)
@@ -480,7 +483,7 @@ class TestDualSimplex:
 
         def corrupting_refresh(self, costs):
             if not checks:
-                self.binv *= 1.01
+                self.binv *= 1.0 + error
             refresh(self, costs)
 
         def recording_refined(self, costs):
@@ -496,6 +499,26 @@ class TestDualSimplex:
         assert calls == {"dgetrf": 2, "dgetri": 1}
         assert solution.status == "optimal"
         assert solution.objective_value == pytest.approx(expected, abs=1e-12)
+        assert_vertex(model, solution)
+
+    def test_rounded_dependent_row_is_feasible_at_large_mass(self, monkeypatch):
+        # row 2 is row 0 plus row 1, and its right-hand side is their sum
+        # rounded: 1.5e-8 off, which the artificial of the dependent row
+        # keeps, with no column to pivot on there
+        b0, b1 = 100000000.63696168, 100000000.26978672
+        assert Fraction(b0) + Fraction(b1) != Fraction(b0 + b1)
+        model = raw_model(
+            [1.0, 2.0, 3.0, 1.0],
+            [[2.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [2.0, 1.0, 1.0, 1.0]],
+            [b0, b1, b0 + b1],
+        )
+        assert _Simplex(model, 100).dual_start
+        loops = record_loops(monkeypatch)
+        solution = solve(model)
+        assert loops == ["dual", 2]
+        assert solution.status == "optimal"
+        # x0 = b0 / 2 at cost 1 and x3 = b1 at cost 1
+        assert solution.objective_value == pytest.approx(b0 / 2 + b1, rel=1e-15)
         assert_vertex(model, solution)
 
     def test_grid_reduced_factors_once_and_never_inverts(self, monkeypatch):
@@ -533,64 +556,27 @@ class TestDualSimplex:
         assert_vertex(model, solution)
 
 
-def reference_cleanup(state):
-    """Pivot out leftover artificials with one sweep of A^T per artificial."""
-    for pos in np.flatnonzero(state.basis >= state.nv):
-        row = state.A_T @ state.binv[pos]
-        row[state.basis[state.basis < state.nv]] = 0.0
-        candidates = np.flatnonzero(np.abs(row) > 1e-7)
-        if candidates.size:
-            entering = int(candidates[np.argmax(np.abs(row[candidates]))])
-            u = state.column(entering)
-            step = max(state.x_basic[pos], 0.0) / u[pos]
-            state.apply_pivot(entering, int(pos), u, step, 0.0, step <= 1e-12)
-
-
-class CountingProduct:
-    """Stands in for ``A_T`` and counts the products taken with it."""
-
-    def __init__(self, matrix):
-        self.matrix, self.products = matrix, 0
-
-    def __matmul__(self, other):
-        self.products += 1
-        return self.matrix @ other
-
-
 class TestCleanup:
-    @pytest.mark.parametrize("instance", ["general", "zero-rows"])
-    def test_one_sweep_per_pivot_and_the_same_pivots(self, monkeypatch, instance):
-        if instance == "general":
-            # n - 1 = 3 artificials on dependent marginal rows, none replaced
-            model = build_general(generators.general_position(4, 3, 2, seed=2))
-            leftover, sweeps = 3, 1
-        else:
-            # b = 0 rows 2 and 3 have no crash column, so their artificials
-            # stay basic at zero through the dual loop; columns replace both
-            model = raw_model(
-                [2.0, 2.0, 2.0, 3.0, 1.0, 4.0],
-                [[2, 1, 1, 0, 2, 1], [0, 2, 0, 0, 2, 0], [0, 0, 1, 2, 0, 0], [0, 0, 2, 2, 0, 0]],
-                [6.0, 4.0, 0.0, 0.0],
-            )
-            leftover, sweeps = 2, 2
+    def test_artificials_on_independent_rows_are_pivoted_out(self, monkeypatch):
+        # b = 0 rows 2 and 3 have no crash column, so their artificials stay
+        # basic at zero through the dual loop; columns replace both
+        model = raw_model(
+            [2.0, 2.0, 2.0, 3.0, 1.0, 4.0],
+            [[2, 1, 1, 0, 2, 1], [0, 2, 0, 0, 2, 0], [0, 0, 1, 2, 0, 0], [0, 0, 2, 2, 0, 0]],
+            [6.0, 4.0, 0.0, 0.0],
+        )
         seen = []
         cleanup = _Simplex.cleanup_artificials
 
-        def comparing_cleanup(self):
-            reference = copy.deepcopy(self)
-            reference_cleanup(reference)
-            counter = self.A_T = CountingProduct(self.A_T)
-            assert np.count_nonzero(self.basis >= self.nv) == leftover
+        def counting_cleanup(self):
+            seen.append(np.count_nonzero(self.basis >= self.nv))
             cleanup(self)
-            self.A_T = counter.matrix
-            assert np.array_equal(self.basis, reference.basis)
-            assert self.iterations == reference.iterations
-            seen.append(counter.products)
+            seen.append(np.count_nonzero(self.basis >= self.nv))
 
-        monkeypatch.setattr(_Simplex, "cleanup_artificials", comparing_cleanup)
+        monkeypatch.setattr(_Simplex, "cleanup_artificials", counting_cleanup)
         solution = solve(model)
         assert solution.status == "optimal"
-        assert seen == [sweeps]
+        assert seen == [2, 0]
         assert_vertex(model, solution)
 
 
