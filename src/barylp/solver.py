@@ -24,12 +24,14 @@ a dual feasible crash start goes to the optimum by a dual simplex with no
 phase 1 (``run_dual``).  Any other start runs the primal simplex: phase 1
 when its artificials carry mass, which the greedy start of a model with
 balanced marginals does not, then phase 2 (``run_phase``).  Between the
-two, leftover artificials that a column can replace are pivoted out;
-phase 2 then also confirms a dual simplex's optimum.  The inverse is
-held row-major.  Each pivot's rank-1 change to it touches only the rows
-where the entering column of B^-1 A is nonzero; when at most m/5 are,
-``dger`` updates just those rows, gathered, and otherwise the whole
-inverse.  A pivot with a zero step leaves x_B as it is.
+two, leftover artificials that a column can replace are pivoted out.  The
+dual simplex reports an optimum only when every column prices at
+``-OPT_TOL`` or above on its refreshed duals, and phase 2 runs after it
+only when that check failed or a leftover artificial was pivoted out.
+The inverse is held row-major.  Each pivot's rank-1 change to it touches
+only the rows where the entering column of B^-1 A is nonzero; when at
+most m/5 are, ``dger`` updates just those rows, gathered, and otherwise
+the whole inverse.  A pivot with a zero step leaves x_B as it is.
 
 Verify.  At each phase end, and every ``REFACTOR_EVERY`` pivots, x_B and
 the duals are recomputed from the held inverse, their residuals against
@@ -37,7 +39,8 @@ the sparse basis are tested explicitly, and each is refined once
 (``refresh``); only a failed test LU-factors the basis and rebuilds the
 inverse.  A status is reported only on refreshed values.  An optimal
 solve frees the inverse, factors the final basis once to report an x_B
-that depends on that basis alone, and checks the residual of A x = b.
+that depends on that basis alone, and checks the residual of A x = b
+against 1e-7 times the larger of 1 and max|b|.
 
 The model keeps every row, although the marginal rows carry n - 1
 dependencies: an artificial that no column can replace after the start,
@@ -130,7 +133,8 @@ class _Simplex:
     """Primal and dual revised simplex over an explicit dense basis inverse."""
 
     def __init__(self, model: LpModel, max_iters: int):
-        A = model.constraints.tocsc()
+        # the models are built in CSC, which this reads as it is
+        A = model.constraints.asformat("csc")
         b = np.array(model.rhs, dtype=np.float64)
         flip = b < 0.0
         if flip.any():
@@ -478,7 +482,10 @@ class _Simplex:
         cheapest column, then the lowest index, as in the primal.  A row
         with no eligible column proves the model infeasible.  Reduced costs
         are updated along the leaving row between refreshes, and a status
-        is reported only on refreshed x_B and duals.  Once the cycle guard
+        is reported only on refreshed x_B and duals: "optimal" when every
+        nonbasic reduced cost is ``-OPT_TOL`` or above on those duals, and
+        "feasible" when x_B is feasible but some column prices below, which
+        leaves the optimum to phase 2.  Once the cycle guard
         trips, the infeasible position with the lowest basic index leaves
         and the tied column with the lowest index enters.
         """
@@ -496,12 +503,13 @@ class _Simplex:
                 if self._duals is None:
                     self._duals = costs[self.basis] @ self.binv
                 reduced = self.cost - self.A_T @ self._duals
+                reduced[self.basis[self.basis < self.nv]] = 0.0
                 # the reduced costs are updated along the leaving row, so
                 # apply_pivot need not update the duals
                 self._duals = None
             artificial = self.basis >= self.nv
             infeasibility = np.where(artificial, np.abs(self.x_basic), -self.x_basic)
-            status = "optimal" if infeasibility.max(initial=0.0) <= self.feas_tol else None
+            status = "feasible" if infeasibility.max(initial=0.0) <= self.feas_tol else None
             if status is None:
                 if self.bland:
                     rows = np.flatnonzero(infeasibility > self.feas_tol)
@@ -520,6 +528,9 @@ class _Simplex:
                     status = "infeasible"
             if status is not None:
                 if verified:
+                    # reduced is priced on the refreshed duals
+                    if status == "feasible" and (reduced >= -OPT_TOL).all():
+                        return "optimal"
                     return status
                 self.refresh(costs)
                 reduced = None
@@ -572,8 +583,9 @@ class _Simplex:
         self.working = np.sort(np.concatenate((self.working, entering)))
         return True
 
-    def cleanup_artificials(self) -> None:
-        """Pivot out every leftover artificial that a column can replace.
+    def cleanup_artificials(self) -> bool:
+        """Pivot out every leftover artificial that a column can replace;
+        returns whether any was.
 
         After a feasible start, phase 1 or the dual simplex every basic
         artificial sits at ~zero.  One that no column can replace sits on a
@@ -581,6 +593,7 @@ class _Simplex:
         stays zero under later pivots, so it stays basic at zero and no
         ratio test reads it.
         """
+        pivots = self.iterations
         for pos in np.flatnonzero(self.basis >= self.nv):
             row = self.A_T @ self.binv[pos]
             row[self.basis[self.basis < self.nv]] = 0.0
@@ -590,6 +603,7 @@ class _Simplex:
                 u = self.column(entering)
                 step = max(self.x_basic[pos], 0.0) / u[pos]
                 self.apply_pivot(entering, int(pos), u, step, 0.0, step <= 1e-12)
+        return self.iterations > pivots
 
     def solution(self, status: str) -> LpSolution:
         values = np.zeros(self.nv)
@@ -623,26 +637,30 @@ def solve(model: LpModel, *, max_iters: int = 100_000) -> LpSolution:
 
     # a dual feasible crash start reaches the optimum by the dual simplex;
     # another start runs phase 1 only when it is infeasible.  Both loops
-    # report "optimal" only on refreshed x_B and duals
+    # report a status only on refreshed x_B and duals
+    dual_optimal = False
     if state.dual_start:
         status = state.run_dual()
-        if status != "optimal":
+        if status not in ("optimal", "feasible"):
             return state.solution(status)
+        dual_optimal = status == "optimal"
     elif state.infeasibility() > state.feas_threshold:
         status = state.run_phase(1)
         if status != "optimal":
             return state.solution(status)
         if state.infeasibility() > state.feas_threshold:
             return state.solution("infeasible")
-    state.cleanup_artificials()
-
-    status = state.run_phase(2)
-    if status != "optimal":
-        return state.solution(status)
+    # phase 2 runs unless the dual simplex ended optimal and the cleanup
+    # left its basis as it was
+    if state.cleanup_artificials() or not dual_optimal:
+        status = state.run_phase(2)
+        if status != "optimal":
+            return state.solution(status)
     state.finish()
     result = state.solution("optimal")
     residual = np.abs(model.constraints @ result.values - model.rhs).max()
-    if residual > 1e-7:
+    # one ulp of b passes 1e-7 from b ~ 1e9 on
+    if residual > 1e-7 * max(1.0, np.abs(model.rhs).max(initial=0.0)):
         return replace(result, status="numeric-failure", objective_value=math.nan)
     return result
 

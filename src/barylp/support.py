@@ -1,8 +1,8 @@
 """Candidate-support construction for barycenter LPs.
 
 Every barycenter is supported on weighted means of one support point per
-measure.  This module holds the one kernel that decodes such combinations
-and computes their means (``combination_chunks``), deduplicates the means
+measure.  This module holds the one kernel that streams such combinations
+with their means (``combination_chunks``), deduplicates the means
 into a candidate point set (the "atlas"): one row-sorted ``(N, d)`` array
 of points, where a candidate is named by its row index.  Alongside it
 the atlas stores the incidence: for each candidate, the (measure, point)
@@ -10,6 +10,15 @@ pairs some combination reaching it uses, stored once as CSR arrays.  It
 also counts how many combinations collapse onto each candidate, and
 splits candidates between fixed-transport and mass/transport variable
 representations for the hybrid model.
+
+The whole stream is built by broadcasting, chunk by chunk: a chunk fixes
+the points of its leading measures and adds the trailing measures' points
+as outer sums, measure by measure from zero, so each mean equals the
+left-to-right sum bit for bit; only explicit ordinals are decoded digit by
+digit.  The exact regime derives the incidence from the map of
+combinations to candidates: a candidate hit by one combination takes that
+combination's n points as its sources, and only the combinations of
+candidates hit more than once go through a sort of distinct pairs.
 
 Two construction regimes exist: ``exact`` walks every combination and
 deduplicates (exponential effort), ``grid`` reads the same atlas of
@@ -66,36 +75,70 @@ def combination_chunks(
     they equal the scalar left-to-right sum exactly.  At least one chunk is
     yielded, even for no ordinals.  Refuses up front, before any chunk,
     when the problem has more than ``cap`` combinations.
+
+    Explicit ordinals are decoded digit by digit and their points
+    gathered.  The whole stream is built by broadcasting instead: its
+    chunks end at multiples of ``COMBINATION_CHUNK`` and cover prefix
+    blocks, the runs of combinations that share their leading measures'
+    points, where the trailing measures make blocks of at most a chunk.
+    Each covering block sums its leading points, then adds the trailing
+    measures' points as outer sums, measure by measure, so its means are
+    the decoded ones bit for bit; a chunk that cuts a block slices it.
     """
     total = problem.combination_total()
     if total > cap:
         raise CombinationBlowupError(
             f"combination blowup: {total} combinations exceed cap {cap}"
         )
-    sizes = np.asarray(problem.sizes, dtype=np.int64)
-    strides = np.ones_like(sizes)
-    strides[:-1] = np.cumprod(sizes[::-1])[::-1][1:]
+    sizes = tuple(problem.sizes)
+    n, d = len(sizes), problem.dimension
+    strides = np.cumprod((1,) + sizes[:0:-1], dtype=np.int64)[::-1]
     scaled = [
         w * np.asarray(m.points, dtype=np.float64)
         for w, m in zip(weights, problem.measures)
     ]
-    count = total if ordinals is None else len(ordinals)
 
-    def generate():
-        for start in range(0, max(count, 1), COMBINATION_CHUNK):
-            stop = min(start + COMBINATION_CHUNK, count)
-            h = (
-                np.arange(start, stop, dtype=np.int64)
-                if ordinals is None
-                else np.asarray(ordinals[start:stop], dtype=np.int64)
-            )
+    def decoded():
+        for start in range(0, max(len(ordinals), 1), COMBINATION_CHUNK):
+            h = np.asarray(ordinals[start:start + COMBINATION_CHUNK], dtype=np.int64)
             idx = h[:, None] // strides % sizes
-            means = np.zeros((len(h), problem.dimension))
+            means = np.zeros((len(h), d))
             for i, pts in enumerate(scaled):
                 means += pts[idx[:, i]]
             yield idx, means
 
-    return generate()
+    def broadcast():
+        # a prefix block holds the `block` combinations that share the
+        # points of the measures before `lead`: at most a chunk
+        lead, block = 0, total
+        while block > COMBINATION_CHUNK:
+            block //= sizes[lead]
+            lead += 1
+        for start in range(0, total, COMBINATION_CHUNK):
+            stop = min(start + COMBINATION_CHUNK, total)
+            first, last = start // block, -(-stop // block)
+            heads = np.arange(first, last, dtype=np.int64)[:, None] * block
+            heads = heads // strides[:lead] % sizes[:lead]
+            idx = np.empty((last - first,) + sizes[lead:] + (n,), dtype=np.int64)
+            for i in range(lead):
+                idx[..., i] = heads[:, i].reshape((-1,) + (1,) * (n - lead))
+            for i in range(lead, n):
+                idx[..., i] = np.arange(sizes[i]).reshape((-1,) + (1,) * (n - 1 - i))
+            means = np.empty((idx.size // n, d))
+            # coordinate by coordinate: the outer sums' inner loops then run
+            # over a measure's points rather than over d coordinates
+            for l in range(d):
+                coord = np.zeros(last - first)
+                for i, pts in enumerate(scaled):
+                    if i < lead:
+                        coord += pts[heads[:, i], l]
+                    else:
+                        coord = (coord[:, None] + pts[:, l]).ravel()
+                means[:, l] = coord
+            cut = slice(start - first * block, stop - first * block)
+            yield idx.reshape(-1, n)[cut], means[cut]
+
+    return broadcast() if ordinals is None else decoded()
 
 
 class _Quantizer:
@@ -207,16 +250,44 @@ class SupportAtlas:
 
 
 def _incidence(
-    codes: np.ndarray, sizes: Sequence[int], count: int
+    idx: np.ndarray, combo_to_index: np.ndarray, multiplicity: np.ndarray, sizes: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR incidence from ``candidate * P + g`` codes, where P is the total
-    point count and g numbers measure i's points from ``sum(sizes[:i])``:
-    the candidate pointer (``count + 1`` entries) and the measure and point
-    index of every distinct code, in code order."""
+    """CSR incidence from every combination's index row and candidate: the
+    candidate pointer and the measure and point index of every entry.
+
+    A candidate hit by one combination takes that combination's n points,
+    one per measure, in measure order.  Only the combinations of candidates
+    hit more than once give ``candidate * P + g`` codes, where P is the
+    total point count and g numbers measure i's points from
+    ``sum(sizes[:i])``; their distinct codes, taken chunk by chunk and then
+    across chunks, are those candidates' entries in CSR order.
+    """
+    n, npts = len(sizes), len(multiplicity)
     offsets = np.cumsum((0,) + tuple(sizes))
-    j, g = np.divmod(_distinct(codes), offsets[-1])
-    measure = np.searchsorted(offsets, g, side="right") - 1
-    return np.searchsorted(j, np.arange(count + 1)), measure, g - offsets[measure]
+    shared = multiplicity > 1
+    codes = []
+    for start in range(0, max(len(idx), 1), COMBINATION_CHUNK):
+        labels = combo_to_index[start:start + COMBINATION_CHUNK]
+        hit = shared[labels]
+        rows = idx[start:start + COMBINATION_CHUNK][hit]
+        codes.append(_distinct((labels[hit, None] * offsets[-1] + offsets[:-1] + rows).ravel()))
+    j, g = np.divmod(_distinct(np.concatenate(codes)), offsets[-1])
+
+    counts = np.where(shared, 0, n) + np.bincount(j, minlength=npts)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    measure = np.empty(indptr[-1], dtype=np.int64)
+    point = np.empty(indptr[-1], dtype=np.int64)
+    # the shared candidates' slots, in CSR order, are the codes' order
+    in_shared = np.repeat(shared, counts)
+    measure[in_shared] = np.searchsorted(offsets, g, side="right") - 1
+    point[in_shared] = g - offsets[measure[in_shared]]
+    # and the other slots are the lone combinations' rows, by candidate
+    combo = np.empty(npts, dtype=np.int64)
+    combo[combo_to_index] = np.arange(len(combo_to_index))
+    single = np.flatnonzero(~shared)
+    measure[~in_shared] = np.tile(np.arange(n), len(single))
+    point[~in_shared] = np.take(idx, combo[single], axis=0).ravel()
+    return indptr, measure, point
 
 
 def build_atlas_exact(problem: Problem, cap: int = DEFAULT_COMBINATION_CAP) -> SupportAtlas:
@@ -224,58 +295,53 @@ def build_atlas_exact(problem: Problem, cap: int = DEFAULT_COMBINATION_CAP) -> S
 
     Means accumulate with the quantizer's scaled weights, so rational
     weights stay in integer arithmetic.  Each candidate keeps the mean of
-    the first combination (by ordinal) that hits its key.
+    the first combination (by ordinal) that hits its key.  The incidence
+    is derived from the combination-to-candidate map (see ``_incidence``).
     """
     quant = _Quantizer(problem)
     # refuses over the cap before the combination-sized arrays below exist
     chunks = combination_chunks(problem, quant.scaled_weights, cap=cap)
-    n = problem.n
     total = problem.combination_total()
 
-    # Per chunk: its distinct keys with their first mean, every
-    # combination's chunk-local label (offset to be unique across chunks),
-    # and per measure the distinct (point, label) pairs.
-    chunk_keys, chunk_means = [], []
-    chunk_pairs: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(n)]
+    # Per chunk: its distinct keys with their first mean, its index
+    # matrix, and every combination's chunk-local label (offset to be
+    # unique across chunks).
+    chunk_keys, chunk_means, chunk_idx = [], [], []
     local = np.empty(total, dtype=np.int64)
     start = offset = 0
     for idx, scaled in chunks:
         keys, first, inverse = _unique_rows(quant.keys(scaled))
         chunk_keys.append(keys)
-        chunk_means.append(scaled[first])
+        chunk_means.append(np.take(scaled, first, axis=0))
+        chunk_idx.append(idx)
         local[start:start + len(idx)] = inverse + offset
-        u = len(keys)
-        for i in range(n):
-            code = _distinct(idx[:, i] * u + inverse)
-            chunk_pairs[i].append((code // u, code % u + offset))
         start += len(idx)
-        offset += u
+        offset += len(keys)
 
-    # Across chunks the earliest chunk holding a key supplies its mean.
-    _, first, inverse = _unique_rows(np.concatenate(chunk_keys))
-    scaled_points = np.concatenate(chunk_means)[first]
+    # Across chunks the earliest chunk holding a key supplies its mean.  A
+    # single chunk's keys are distinct and sorted already.
+    if len(chunk_keys) == 1:
+        scaled_points, merged = chunk_means[0], None
+    else:
+        _, first, merged = _unique_rows(np.concatenate(chunk_keys))
+        scaled_points = np.concatenate(chunk_means)[first]
 
     # Canonical indexing: sort candidates lexicographically by coordinate.
     order = _lexsort_rows(scaled_points)
     npts = len(order)
-    relabel = np.empty(npts, dtype=np.int64)
-    relabel[order] = np.arange(npts)
-    label = relabel[inverse]
+    label = np.empty(npts, dtype=np.int64)
+    label[order] = np.arange(npts)
+    if merged is not None:
+        label = label[merged]
     combo_to_index = label[local]
-
-    # Distinct (candidate, global point) incidences, where measure i's
-    # points are numbered from offsets[i].
-    offsets = np.cumsum((0,) + problem.sizes).tolist()
-    codes = [
-        label[np.concatenate([ls for _, ls in chunk_pairs[i]])] * offsets[-1]
-        + np.concatenate([ks for ks, _ in chunk_pairs[i]]) + offsets[i]
-        for i in range(n)
-    ]
-    indptr, measure, point = _incidence(np.concatenate(codes), problem.sizes, npts)
+    multiplicity = np.bincount(combo_to_index, minlength=npts)
+    indptr, measure, point = _incidence(
+        np.concatenate(chunk_idx), combo_to_index, multiplicity, problem.sizes
+    )
 
     return SupportAtlas(
-        support_points=scaled_points[order] / quant.scale,
-        multiplicity=tuple(np.bincount(combo_to_index, minlength=npts).tolist()),
+        support_points=np.take(scaled_points, order, axis=0) / quant.scale,
+        multiplicity=tuple(multiplicity.tolist()),
         regime="exact",
         sizes=problem.sizes,
         combination_total=total,
@@ -389,14 +455,18 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``np.unique(rows, axis=0, return_index=True, return_inverse=True)``:
     the sorted distinct rows, each one's first index and every row's label.
     A stable lexsort and a neighbour compare do it faster than the
-    structured-view sort of ``np.unique``."""
+    structured-view sort of ``np.unique``.  Rows are gathered by
+    ``np.take`` and compared column by column: on rows of a few columns,
+    fancy indexing and ``any(axis=1)`` cost several times more."""
     order = _lexsort_rows(rows)
-    ordered = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ordered = np.take(rows, order, axis=0)
+    new = np.zeros(len(rows), dtype=bool)
+    new[0] = True
+    for column in ordered.T:
+        new[1:] |= column[1:] != column[:-1]
     inverse = np.empty(len(rows), dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
-    return ordered[new], order[new], inverse
+    return np.compress(new, ordered, axis=0), order[new], inverse
 
 
 def _lexsort_rows(rows: np.ndarray) -> np.ndarray:
@@ -430,7 +500,9 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     """Sorted distinct values; on integer codes a plain sort is several
     times faster than ``np.unique``, which hashes them."""
     codes = np.sort(codes)
-    return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+    keep = np.ones(len(codes), dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
 
 
 @dataclass(frozen=True)

@@ -251,15 +251,21 @@ class TestBuildTransportation:
 
 class TestBuildHybrid:
     def test_all_fixed_split_identical_to_general(self):
-        p = generators.general_position(3, 3, 2, seed=6)
-        atlas = build_atlas_exact(p)
-        split = hybrid_split(atlas)
-        assert not split.on_y.any()
-        hybrid = build_hybrid(atlas, split, p)
-        general = build_general(p)
-        assert_same_identities(hybrid, general)
-        assert np.array_equal(hybrid.objective, general.objective)
-        assert (hybrid.constraints != general.constraints).nnz == 0
+        # gp(2,300) streams two chunks
+        for n, p_size in ((3, 3), (2, 300)):
+            p = generators.general_position(n, p_size, 2, seed=6)
+            atlas = build_atlas_exact(p)
+            split = hybrid_split(atlas)
+            assert not split.on_y.any()
+            hybrid = build_hybrid(atlas, split, p)
+            general = build_general(p)
+            assert_same_identities(hybrid, general)
+            assert np.array_equal(hybrid.objective, general.objective)
+            assert hybrid.constraints.format == general.constraints.format == "csc"
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(
+                    getattr(hybrid.constraints, name), getattr(general.constraints, name)
+                ), name
 
     def test_all_mass_split_identical_to_reduced(self):
         p = generators.grid(2, 3, 1, seed=9)

@@ -250,6 +250,28 @@ class TestSolve:
         assert solution.objective_value == pytest.approx(1.0, abs=1e-12)
         assert entered[0] == 1 and 0 not in entered
 
+    @pytest.mark.parametrize("formulation,conversions", [("reduced", []), ("general", ["tocsr"])])
+    def test_models_reach_the_solver_in_csc(self, monkeypatch, formulation, conversions):
+        # a crash start reads the CSC matrix as built; only the greedy start
+        # asks for the rows
+        p = generators.grid(3, 3, 2, seed=44)
+        if formulation == "reduced":
+            model = build_reduced(build_atlas_grid(p), p)
+        else:
+            model = build_general(p)
+        assert model.constraints.format == "csc"
+        calls = []
+        for cls in (sp.csc_matrix, sp.csr_matrix):
+            for name in ("tocsr", "tocsc"):
+
+                def counting(self, *args, _method=getattr(cls, name), _name=name, **kwargs):
+                    calls.append(_name)
+                    return _method(self, *args, **kwargs)
+
+                monkeypatch.setattr(cls, name, counting)
+        assert solve(model).status == "optimal"
+        assert calls == conversions
+
     def test_too_large_basis_is_refused_before_allocating(self, monkeypatch):
         model = build_general(generators.general_position(2, 3, 2, seed=5))
         m = model.num_constraints
@@ -436,7 +458,8 @@ class TestDualSimplex:
         assert _Simplex(model, 100).dual_start
         loops = record_loops(monkeypatch)
         solution = solve(model)
-        assert loops == ["dual", 2]
+        # the dual loop's optimum stands: no artificial is left to pivot out
+        assert loops == ["dual"]
         assert solution.status == "optimal"
         assert solution.phase_iterations[0] > 0
         assert solution.objective_value == pytest.approx(
@@ -454,6 +477,22 @@ class TestDualSimplex:
         loops = record_loops(monkeypatch)
         assert solve(model).status == "infeasible"
         assert loops == ["dual"]
+
+    def test_dual_loop_ends_feasible_when_a_column_prices_below(self, monkeypatch):
+        # the crash start on columns 0 and 1 is feasible, and column 2, at
+        # cost -5, prices at -7 on its duals; passed off as dual feasible,
+        # the start leaves the dual loop "feasible" and phase 2 pivots
+        model = raw_model([1.0, 1.0, -5.0], [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [0.0, 0.0])
+        state = _Simplex(model, 100)
+        assert list(state.basis) == [0, 1] and not state.dual_start
+        assert state.run_dual() == "feasible"
+        monkeypatch.setattr(_Simplex, "dual_feasible", lambda self: True)
+        loops = record_loops(monkeypatch)
+        solution = solve(model)
+        assert loops == ["dual", 2]
+        assert solution.status == "optimal" and solution.objective_value == 0.0
+        assert solution.phase_iterations == (0, 1)
+        assert_optimal_on_every_column(model, solution)
 
     def test_start_that_is_not_dual_feasible_runs_phase_1(self, monkeypatch):
         # row 1 has b = 0 and crashes onto column 1; column 3, only in row 0,
@@ -515,11 +554,41 @@ class TestDualSimplex:
         assert _Simplex(model, 100).dual_start
         loops = record_loops(monkeypatch)
         solution = solve(model)
-        assert loops == ["dual", 2]
+        assert loops == ["dual"]
         assert solution.status == "optimal"
         # x0 = b0 / 2 at cost 1 and x3 = b1 at cost 1
         assert solution.objective_value == pytest.approx(b0 / 2 + b1, rel=1e-15)
         assert_vertex(model, solution)
+
+    def test_residual_bound_scales_with_the_right_hand_side(self):
+        # the raw LP above drawn at b ~ 1e9, where one ulp of b is 2.4e-7:
+        # the optimal plan keeps the dependent row's rounding as its residual
+        b0, b1 = np.random.default_rng(0).uniform(1e9, 2e9, size=2)
+        assert Fraction(b0) + Fraction(b1) != Fraction(b0 + b1)
+        model = raw_model(
+            [1.0, 2.0, 3.0, 1.0],
+            [[2.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [2.0, 1.0, 1.0, 1.0]],
+            [b0, b1, b0 + b1],
+        )
+        solution = solve(model)
+        assert solution.status == "optimal"
+        assert solution.objective_value == pytest.approx(b0 / 2 + b1, rel=1e-15)
+        residual = np.abs(model.constraints @ solution.values - model.rhs).max()
+        assert 1e-7 < residual <= 1e-7 * (b0 + b1)
+
+    def test_residual_of_2e_7_fails_at_unit_mass(self, monkeypatch):
+        model = build_general(generators.general_position(2, 3, 2, seed=5))
+        assert model.rhs.max() <= 1.0
+        finish = _Simplex.finish
+
+        def perturbed_finish(self):
+            finish(self)
+            self.x_basic[np.argmax(self.basis < self.nv)] += 2e-7
+
+        monkeypatch.setattr(_Simplex, "finish", perturbed_finish)
+        solution = solve(model)
+        assert solution.status == "numeric-failure"
+        assert math.isnan(solution.objective_value)
 
     def test_grid_reduced_factors_once_and_never_inverts(self, monkeypatch):
         # over 400 pivots: the residual checks every REFACTOR_EVERY pivots
@@ -570,13 +639,17 @@ class TestCleanup:
 
         def counting_cleanup(self):
             seen.append(np.count_nonzero(self.basis >= self.nv))
-            cleanup(self)
+            pivoted = cleanup(self)
             seen.append(np.count_nonzero(self.basis >= self.nv))
+            return pivoted
 
         monkeypatch.setattr(_Simplex, "cleanup_artificials", counting_cleanup)
+        loops = record_loops(monkeypatch)
         solution = solve(model)
         assert solution.status == "optimal"
         assert seen == [2, 0]
+        # the cleanup moved the basis, so phase 2 confirms the optimum
+        assert loops == ["dual", 2]
         assert_vertex(model, solution)
 
 

@@ -47,6 +47,18 @@ def plain_means(p):
     return out
 
 
+def repeated_points(n, p, seed):
+    """General-position measures where measure 1 repeats measure 0's
+    points, under random integer weights with the first two equal, so that
+    swapping the first two picks lands on the same mean."""
+    base = generators.general_position(n, p, 2, seed=seed)
+    measures = list(base.measures)
+    measures[1] = measure(measures[0].points, measures[1].masses)
+    weights = np.random.default_rng(seed).integers(1, 5, n).astype(float)
+    weights[1] = weights[0]
+    return problem(measures, weights / weights.sum())
+
+
 def nearest_candidate(atlas, point):
     """Row of the candidate closest to ``point`` (the first on ties)."""
     gaps = atlas.support_points - np.asarray(point, dtype=np.float64)
@@ -90,6 +102,26 @@ class TestEnumeration:
         ordinals = np.array([0, COMBINATION_CHUNK, total - 1])
         direct = list(itertools.product(*(range(s) for s in p.sizes)))
         assert kernel(p, ordinals)[0] == [direct[h] for h in ordinals]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generators.general_position(2, 300, 2, seed=1),
+            lambda: generators.general_position(7, 5, 2, seed=1),
+            lambda: generators.grid(3, 7, 2, seed=3),
+        ],
+        ids=["gp(2,300)", "gp(7,5)", "grid(3,7)"],
+    )
+    def test_stream_equals_decoded_ordinals(self, make):
+        # the broadcast stream cuts prefix blocks at chunk boundaries
+        p = make()
+        total = p.combination_total()
+        stream = list(combination_chunks(p, p.weights))
+        decoded = list(combination_chunks(p, p.weights, np.arange(total)))
+        assert len(stream) == len(decoded) > 1
+        for (idx, means), (idx_d, means_d) in zip(stream, decoded):
+            assert idx.dtype == idx_d.dtype and np.array_equal(idx, idx_d)
+            assert means.dtype == means_d.dtype and means.tobytes() == means_d.tobytes()
 
 
 class TestWeightedMean:
@@ -173,6 +205,31 @@ class TestExactAtlas:
                 used[nearest_candidate(atlas, mean)].update(enumerate(picks))
             for j in range(atlas.point_count):
                 assert atlas.sources(j) == tuple(sorted(used[j])), j
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generators.mixed(3, 3, 1, seed=8),
+            lambda: repeated_points(3, 6, seed=2),
+            lambda: repeated_points(4, 5, seed=3),
+            lambda: repeated_points(2, 300, seed=4),  # shares candidates across chunks
+        ],
+        ids=["mixed(3,3,1)", "repeated(3,6)", "repeated(4,5)", "repeated(2,300)"],
+    )
+    def test_incidence_is_every_used_pair(self, make):
+        # the (candidate, measure, point) triples of every combination, by
+        # brute force over the combination-to-candidate map
+        p = make()
+        atlas = build_atlas_exact(p)
+        assert max(atlas.multiplicity) > 1 and min(atlas.multiplicity) == 1
+        candidates = atlas.combination_candidates(p).tolist()
+        combos = itertools.product(*(range(len(m)) for m in p.measures))
+        expected = sorted(
+            {(j, i, k) for j, picks in zip(candidates, combos) for i, k in enumerate(picks)}
+        )
+        assert [
+            (j, i, k) for j in range(atlas.point_count) for i, k in atlas.sources(j)
+        ] == expected
 
     def test_points_sorted_lexicographically(self):
         p = generators.general_position(2, 4, 2, seed=9)
