@@ -134,17 +134,19 @@ class _Assembler:
         self._blocks.append((rows, val))
 
     def freeze(self) -> LpModel:
-        blocks = [
-            sp.csc_matrix(
-                (np.full(rows.size, val), rows.ravel(), rows.shape[1] * np.arange(len(rows) + 1)),
-                shape=(len(self.rhs), len(rows)),
-            )
-            for rows, val in self._blocks
-        ]
+        # one CSC matrix from the blocks' concatenated arrays, with the
+        # index dtype sp.hstack would pick: int32 unless it overflows
+        data = np.concatenate([np.full(rows.size, val) for rows, val in self._blocks])
+        index = np.int32 if max(data.size, len(self.rhs)) <= np.iinfo(np.int32).max else np.int64
+        lens = np.concatenate([np.full(len(rows), rows.shape[1], index) for rows, _ in self._blocks])
+        indptr = np.zeros(len(lens) + 1, dtype=index)
+        np.cumsum(lens, out=indptr[1:])
+        indices = np.concatenate([rows.ravel() for rows, _ in self._blocks]).astype(index)
+        constraints = sp.csc_matrix((data, indices, indptr), shape=(len(self.rhs), len(lens)))
         return LpModel(
             formulation=self.formulation,
             objective=np.concatenate(self._costs),
-            constraints=sp.hstack(blocks, format="csc"),
+            constraints=constraints,
             rhs=np.asarray(self.rhs, dtype=np.float64),
             z=self.z, y=self.y, w=self.w,
             balance=self.balance, marginal=self.marginal,
@@ -217,7 +219,9 @@ def _mass_transport(
     points = np.concatenate([np.asarray(m.points, dtype=np.float64) for m in problem.measures])
     asm.add_columns(
         weighted_sq_distance(
-            np.asarray(problem.weights)[yi], atlas.support_points[yj], points[offsets[yi] + yk]
+            np.asarray(problem.weights)[yi],
+            np.take(atlas.support_points, yj, axis=0),
+            np.take(points, offsets[yi] + yk, axis=0),
         ),
         np.column_stack((balance + yi * c + pos, marginal[yi] + yk)),
         1.0,

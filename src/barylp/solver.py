@@ -5,10 +5,17 @@ solve has three steps: start, simplex, verify.
 
 Start.  A fixed-transport matrix (every right-hand side positive and every
 entry 1: ``general``, and ``hybrid`` with no candidate on the
-mass/transport side) starts from a least-cost greedy plan: the cheapest
-column whose rows all keep mass takes the least remaining mass of its
-rows, until no such column is left.  The plan is a triangular basis,
-LU-factored (LAPACK ``dgetrf``) and inverted (``dgetri``) once.  Other
+mass/transport side) starts from a greedy plan on centred prices: the
+column of least ``c - A^T u`` whose rows all keep mass takes the least
+remaining mass of its rows, until no such column is left.  Row r's
+potential u_r is its mean column cost, each column weighted by the
+product of its rows' right-hand sides; on ``general`` that is the cost
+expected given k_i = k under the product of the marginals, so the
+centred price keeps only the interaction part of the cost.  Every plan
+with A x = b pays (A^T u).x = u.b, so the prices shift the cost of all
+feasible plans by one constant and rank them as the costs do; the phases
+still price the costs.  The plan is a triangular basis, LU-factored
+(LAPACK ``dgetrf``) and inverted (``dgetri``) once.  Other
 models start from a triangular crash basis: every row with right-hand
 side 0 (the balance rows of the original, reduced and hybrid models)
 takes its cheapest column with no other nonzero in such a row, and every
@@ -185,22 +192,29 @@ class _Simplex:
         )
 
     def greedy(self, rows: sp.csr_matrix) -> None:
-        """Start from the least-cost greedy plan of a fixed-transport matrix.
+        """Start from the greedy plan of a fixed-transport matrix on the
+        centred prices ``c - A^T u``, u from ``row_potentials``.
 
-        Step by step, the cheapest column (lowest index on ties) whose rows
-        all keep more than ``FEAS_TOL`` of their right-hand side takes the
-        least remainder among its rows.  The rows left at or below
-        ``FEAS_TOL`` are exhausted: the column takes the basis position of
-        the first of them, the others keep their artificials, and every
-        column of an exhausted row, read off the CSR ``rows``, drops out.
-        In step order each column's position lies in none of the later
-        columns, so the basis is triangular with unit diagonal, hence
-        nonsingular, and every basic value is nonnegative.  With balanced
-        marginals every row ends exhausted and the start is feasible.
+        Step by step, the column of least centred price (lowest index on
+        ties) whose rows all keep more than ``FEAS_TOL`` of their right-hand
+        side takes the least remainder among its rows.  The rows left at or
+        below ``FEAS_TOL`` are exhausted: the column takes the basis
+        position of the first of them, the others keep their artificials,
+        and every column of an exhausted row, read off the CSR ``rows``,
+        drops out.  In step order each column's position lies in none of
+        the later columns, so the basis is triangular with unit diagonal,
+        hence nonsingular, and every basic value is nonnegative, whatever
+        the order of the columns.  With balanced marginals every row ends
+        exhausted and the start is feasible.
+
+        Every x with A x = b pays (A^T u).x = u.b, so the centred prices
+        move the cost of every feasible plan by one constant: they rank
+        plans as the costs do, and the phases still price the costs.
         """
         A = self.A
         remaining = self.b.copy()
-        price = self.cost.copy()  # inf once the column has dropped out
+        # inf once the column has dropped out
+        price = self.cost - self.A_T @ row_potentials(A, self.A_T, self.b, self.cost)
         while True:
             col = int(np.argmin(price))
             if price[col] == np.inf:
@@ -665,6 +679,19 @@ def solve(model: LpModel, *, max_iters: int = 100_000) -> LpSolution:
     return result
 
 
+def row_potentials(
+    A: sp.csc_matrix, A_T: sp.csr_matrix, b: np.ndarray, cost: np.ndarray
+) -> np.ndarray:
+    """Each row's mean column cost, each column weighted by
+    ``exp(A^T log b)``: for a fixed-transport matrix, the product of its
+    rows' right-hand sides.  Zeros, the plain cost order, when a weight
+    sum underflows or a potential is not finite."""
+    with np.errstate(all="ignore"):
+        w = np.exp(A_T @ np.log(b))
+        u = (A @ (w * cost)) / (A @ w)
+    return u if np.isfinite(u).all() else np.zeros(len(b))
+
+
 def _entries(A: sp.csc_matrix, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions in ``A.indices``/``A.data`` of the entries of columns
     ``cols``, column by column, and each column's entry count."""
@@ -839,7 +866,9 @@ def _plan_cost(
     offsets = np.cumsum((0,) + problem.sizes)
     targets = np.concatenate([np.asarray(m.points, dtype=np.float64) for m in problem.measures])
     terms = weighted_sq_distance(
-        np.asarray(problem.weights)[i], points[j], targets[offsets[i] + k]
+        np.asarray(problem.weights)[i],
+        np.take(points, j, axis=0),
+        np.take(targets, offsets[i] + k, axis=0),
     )
     return math.fsum((terms * flow).tolist())
 
@@ -879,7 +908,10 @@ def extract_barycenter(
     js = np.concatenate((model.z[z_kept], model.y[y_kept, 1]))
     if js.size and atlas is None:
         raise ExtractionError("mass variables need the atlas for points")
-    candidates = atlas.support_points[js] if js.size else np.empty((0, problem.dimension))
+    if js.size:
+        candidates = np.take(atlas.support_points, js, axis=0)
+    else:
+        candidates = np.empty((0, problem.dimension))
     # the model already holds these columns, so the cap is moot
     chunks = combination_chunks(
         problem, quant.scaled_weights, model.w[w_kept], cap=problem.combination_total()

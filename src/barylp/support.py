@@ -104,7 +104,7 @@ def combination_chunks(
             idx = h[:, None] // strides % sizes
             means = np.zeros((len(h), d))
             for i, pts in enumerate(scaled):
-                means += pts[idx[:, i]]
+                means += np.take(pts, idx[:, i], axis=0)
             yield idx, means
 
     def broadcast():

@@ -273,7 +273,7 @@ class TestSolve:
                 doc = json.loads(Path(cli._suffixed(out, name)).read_text())
                 docs.append({key: doc[key] for key in ("support", "transport", "verification")})
         digest = hashlib.sha256(json.dumps(rounded(docs), sort_keys=True).encode()).hexdigest()
-        assert digest == "c33f3e9bd14b5716043cf327d24d2582d8100193618caed419d1c28570cc5e70"
+        assert digest == "d8b3e0a67392fcb60df8dbd6847ae17d32be2b37ea75c8ba122f19896a32e4c9"
 
     def test_grid_csv_input(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -4,8 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from barylp import generators
+from barylp import generators, models
 from barylp.cli import _build_model
 from barylp.models import (
     FormulationError,
@@ -247,6 +248,41 @@ class TestBuildTransportation:
         assert transport.num_constraints == general.num_constraints
         assert_same_identities(transport, general)
         assert np.allclose(transport.objective, general.objective, atol=1e-12)
+
+
+class TestAssembler:
+    @pytest.mark.parametrize("instance", ["gp", "mixed"])
+    def test_frozen_matrix_equals_the_stacked_blocks(self, monkeypatch, instance):
+        # freeze concatenates the blocks' arrays; sp.hstack of one CSC
+        # matrix per block gives the same arrays, dtypes included
+        if instance == "gp":
+            p = generators.general_position(3, 4, 2, seed=2)
+        else:
+            p = generators.mixed(3, 3, 1, seed=13)
+        stacked = []
+        freeze = models._Assembler.freeze
+
+        def stacking_freeze(self):
+            blocks = [
+                sp.csc_matrix(
+                    (np.full(rows.size, val), rows.ravel(), rows.shape[1] * np.arange(len(rows) + 1)),
+                    shape=(len(self.rhs), len(rows)),
+                )
+                for rows, val in self._blocks
+            ]
+            stacked.append(sp.hstack(blocks, format="csc"))
+            return freeze(self)
+
+        monkeypatch.setattr(models._Assembler, "freeze", stacking_freeze)
+        built = build_all(p)
+        assert len(stacked) == len(built)
+        for expected, model in zip(stacked, built.values()):
+            A = model.constraints
+            assert A.format == "csc" and A.shape == expected.shape, model.formulation
+            for name in ("indptr", "indices", "data"):
+                actual, reference = getattr(A, name), getattr(expected, name)
+                assert actual.dtype == reference.dtype, (model.formulation, name)
+                assert np.array_equal(actual, reference), (model.formulation, name)
 
 
 class TestBuildHybrid:

@@ -234,9 +234,13 @@ class TestSolve:
         assert_vertex(model, solution)
 
     def test_tied_entering_columns_go_to_the_cheaper(self, monkeypatch):
-        # columns 0 and 1 are equal, so their reduced costs tie; column 1 is
-        # cheaper and must enter, column 0 never
-        model = raw_model([2.0, 1.0, 0.0], [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]], [1.0, 1.0])
+        # column 2 has the least centred price, so the start gives it row
+        # 0 and drops columns 0 and 1, and row 1's artificial keeps its
+        # mass.  Columns 0 and 1 are equal, so their phase-1 reduced costs
+        # tie; column 1 is cheaper and must enter, column 0 never
+        model = raw_model([2.0, 1.0, -1.0], [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]], [1.0, 1.0])
+        state = _Simplex(model, 100)
+        assert state.basis.tolist() == [2, 4] and state.infeasibility() == 1.0
         entered = []
         apply_pivot = _Simplex.apply_pivot
 
@@ -653,14 +657,31 @@ class TestCleanup:
         assert_vertex(model, solution)
 
 
+def centred_prices(model):
+    """c - A^T u by plain loops: row r's potential u_r is the mean cost of
+    its columns, each weighted by the product of its rows' masses."""
+    A = model.constraints.tocsc()
+    cost, rhs = model.objective.tolist(), model.rhs.tolist()
+    rows_of = [A.indices[A.indptr[c] : A.indptr[c + 1]].tolist() for c in range(model.num_vars)]
+    weighted, weights = [0.0] * len(rhs), [0.0] * len(rhs)
+    for c, rows in enumerate(rows_of):
+        w = math.prod(rhs[r] for r in rows)
+        for r in rows:
+            weighted[r] += w * cost[c]
+            weights[r] += w
+    u = [a / b for a, b in zip(weighted, weights)]
+    return [cost[c] - sum(u[r] for r in rows) for c, rows in enumerate(rows_of)]
+
+
 def reference_greedy(model):
-    """The greedy start by a plain loop over columns in (cost, index)
-    order: {basis position: (column, value)}."""
+    """The greedy start by a plain loop over columns in (centred price,
+    index) order: {basis position: (column, value)}."""
     A = model.constraints.tocsc()
     remaining = model.rhs.tolist()
     alive = set(range(model.num_constraints))
     start = {}
-    for c in sorted(range(model.num_vars), key=lambda c: (model.objective[c], c)):
+    price = centred_prices(model)
+    for c in sorted(range(model.num_vars), key=lambda c: (price[c], c)):
         rows = A.indices[A.indptr[c] : A.indptr[c + 1]].tolist()
         if not set(rows) <= alive:
             continue
@@ -760,6 +781,75 @@ class TestGreedyStart:
         # general position puts no candidate on y, so its hybrid is all w
         assert _Simplex(hybrid, 100).fixed_transport() == (instance == "gp")
         assert not _Simplex(build_reduced(atlas, p), 100).fixed_transport()
+
+
+def plain_cost_order(monkeypatch):
+    """Zero potentials: the greedy ranks columns by their costs."""
+    monkeypatch.setattr(solver, "row_potentials", lambda A, A_T, b, cost: np.zeros(len(b)))
+
+
+def tiny_mass_problem(tiny):
+    """n = 3, one point of each measure holding ``tiny`` of its mass."""
+    return problem([
+        measure([[0.0, 0.0], [1.0, 0.3], [0.2, 1.0]], [0.5, 0.5 - tiny, tiny]),
+        measure([[0.5, 0.1], [0.9, 0.8], [0.1, 0.6]], [tiny, 0.5, 0.5 - tiny]),
+        measure([[0.3, 0.3], [0.7, 0.2], [0.4, 0.9]], [0.5 - tiny, tiny, 0.5]),
+    ])
+
+
+class TestCentredStart:
+    @pytest.mark.parametrize("name", GREEDY_INSTANCES)
+    def test_prices_match_the_plain_loops(self, name):
+        model = build_general(greedy_instance(name))
+        state = _Simplex(model, 100)
+        price = state.cost - state.A_T @ solver.row_potentials(
+            state.A, state.A_T, state.b, state.cost
+        )
+        assert np.allclose(price, centred_prices(model), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("instance", ["gp", "full-grid", "mixed"])
+    def test_centred_start_takes_fewer_pivots(self, monkeypatch, instance):
+        if instance == "gp":
+            p = generators.general_position(4, 5, 2, seed=1)
+        elif instance == "full-grid":
+            p = generators.grid(3, 4, 2, seed=1)
+        else:
+            p = generators.mixed(3, 3, 3, seed=1)
+        model = build_general(p)
+        centred = solve(model)
+        plain_cost_order(monkeypatch)
+        plain = solve(model)
+        assert centred.status == plain.status == "optimal"
+        assert centred.iterations < plain.iterations
+        assert centred.objective_value == pytest.approx(plain.objective_value, abs=1e-12)
+        assert_optimal_on_every_column(model, centred)
+
+    @pytest.mark.parametrize("tiny", [1e-20, 1e-100, 1e-200])
+    def test_tiny_masses_solve_without_a_floating_point_warning(self, tiny):
+        # warnings are errors in this suite; the products of three masses
+        # underflow from about 1e-108 on
+        model = build_general(tiny_mass_problem(tiny))
+        solution = solve(model)
+        assert solution.status == "optimal"
+        assert_optimal_on_every_column(model, solution)
+
+    def test_underflowed_or_non_finite_potentials_fall_back_to_the_costs(self, monkeypatch):
+        model = build_general(tiny_mass_problem(0.25))
+        state = _Simplex(model, 100)
+        potentials = solver.row_potentials(state.A, state.A_T, state.b, state.cost)
+        assert np.isfinite(potentials).all() and potentials.any()
+        # every weight underflows to 0, and so does every weight sum
+        assert not solver.row_potentials(state.A, state.A_T, state.b * 1e-200, state.cost).any()
+        cost = state.cost.copy()
+        cost[0] = np.inf
+        assert not solver.row_potentials(state.A, state.A_T, state.b, cost).any()
+
+        # a start on the zero potentials is the plain cost order's
+        scaled = replace(model, rhs=model.rhs * 1e-200)
+        centred = _Simplex(scaled, 100).basis
+        plain_cost_order(monkeypatch)
+        assert np.array_equal(centred, _Simplex(scaled, 100).basis)
+        assert solve(scaled).status == "optimal"
 
 
 class TestWorkingSet:
