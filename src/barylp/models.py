@@ -135,13 +135,16 @@ class _Assembler:
 
     def freeze(self) -> LpModel:
         # one CSC matrix from the blocks' concatenated arrays, with the
-        # index dtype sp.hstack would pick: int32 unless it overflows
-        data = np.concatenate([np.full(rows.size, val) for rows, val in self._blocks])
+        # index dtype sp.hstack would pick: int32 unless it overflows; the
+        # entries and column lengths are repeated once, with no per-block copy
+        rows, vals = zip(*self._blocks)
+        data = np.repeat(vals, [r.size for r in rows])
         index = np.int32 if max(data.size, len(self.rhs)) <= np.iinfo(np.int32).max else np.int64
-        lens = np.concatenate([np.full(len(rows), rows.shape[1], index) for rows, _ in self._blocks])
+        lens = np.repeat(np.array([r.shape[1] for r in rows], dtype=index), [len(r) for r in rows])
         indptr = np.zeros(len(lens) + 1, dtype=index)
         np.cumsum(lens, out=indptr[1:])
-        indices = np.concatenate([rows.ravel() for rows, _ in self._blocks]).astype(index)
+        # straight into the index dtype: no int64 copy of int32 rows
+        indices = np.concatenate([r.ravel() for r in rows], dtype=index, casting="same_kind")
         constraints = sp.csc_matrix((data, indices, indptr), shape=(len(self.rhs), len(lens)))
         return LpModel(
             formulation=self.formulation,
@@ -241,20 +244,28 @@ def _fixed_transport(
     start at ``marginal[i]``.
 
     Its cost routes one unit of mass from the combination's weighted mean
-    to each constituent point: sum_i lambda_i |mean - x_{i,k_i}|^2.
+    to each constituent point: sum_i lambda_i |mean - x_{i,k_i}|^2.  The
+    rows (int32 while the row count fits it) and costs are allocated once
+    and filled chunk by chunk.
     """
     points = [np.asarray(m.points, dtype=np.float64) for m in problem.measures]
-    rows, costs = [], []
-    for idx, mean in combination_chunks(problem, problem.weights, ordinals, cap):
-        cost = np.zeros(len(idx))
+    # refuses over the cap before the arrays below are allocated
+    chunks = combination_chunks(problem, problem.weights, ordinals, cap)
+    total = problem.combination_total() if ordinals is None else len(ordinals)
+    index = np.int32 if len(asm.rhs) <= np.iinfo(np.int32).max else np.int64
+    rows = np.empty((total, problem.n), dtype=index)
+    costs = np.zeros(total)
+    start = 0
+    for idx, mean in chunks:
+        stop = start + len(idx)
+        cost = costs[start:stop]
         for i, lam in enumerate(problem.weights):
             # np.take gathers rows several times faster than fancy indexing
             cost += weighted_sq_distance(lam, mean, np.take(points[i], idx[:, i], axis=0))
-        rows.append(idx + marginal)
-        costs.append(cost)
-    rows = np.concatenate(rows)
-    asm.add_columns(np.concatenate(costs), rows, 1.0)
-    asm.w = np.arange(len(rows)) if ordinals is None else ordinals
+        np.add(idx, marginal, out=rows[start:stop])
+        start = stop
+    asm.add_columns(costs, rows, 1.0)
+    asm.w = np.arange(total) if ordinals is None else ordinals
 
 
 def build_original(atlas: SupportAtlas, problem: Problem) -> LpModel:

@@ -173,7 +173,9 @@ class _Simplex:
         self.feas_tol = FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
         # the sorted columns priced
         if self.fixed_transport():
-            self.greedy(model.constraints.tocsr())
+            # the rows' column lists: A's pattern in CSR, one byte per entry
+            pattern = sp.csc_matrix((np.ones(A.nnz, dtype=np.int8), A.indices, A.indptr), A.shape)
+            self.greedy(pattern.tocsr())
             self.working = np.sort(self.basis[self.basis < self.nv])
             self.dual_start = False
         else:
@@ -201,10 +203,12 @@ class _Simplex:
         below ``FEAS_TOL`` are exhausted: the column takes the basis
         position of the first of them, the others keep their artificials,
         and every column of an exhausted row, read off the CSR ``rows``,
-        drops out.  In step order each column's position lies in none of
-        the later columns, so the basis is triangular with unit diagonal,
-        hence nonsingular, and every basic value is nonnegative, whatever
-        the order of the columns.  With balanced marginals every row ends
+        drops out.  Only the pattern of ``rows`` is read, so the caller
+        passes int8 data, an eighth of a float64 copy of A.  In step order
+        each column's position lies in none of the later columns, so the
+        basis is triangular with unit diagonal, hence nonsingular, and
+        every basic value is nonnegative, whatever the order of the
+        columns.  With balanced marginals every row ends
         exhausted and the start is feasible.
 
         Every x with A x = b pays (A^T u).x = u.b, so the centred prices

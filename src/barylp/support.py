@@ -70,11 +70,15 @@ def combination_chunks(
     A combination picks point ``k_i`` of every measure i; its ordinal is its
     position in the lexicographic order of ``(k_1, ..., k_n)``.  For each
     chunk of ``ordinals`` (every combination in order when None) yields the
-    ``(len, n)`` index matrix and the ``(len, d)`` means
+    ``(len, n)`` int32 index matrix and the ``(len, d)`` float64 means
     ``sum_i weights[i] * x_{i,k_i}``, summed measure by measure from zero so
     they equal the scalar left-to-right sum exactly.  At least one chunk is
     yielded, even for no ordinals.  Refuses up front, before any chunk,
-    when the problem has more than ``cap`` combinations.
+    when the problem has more than ``cap`` combinations, so a consumer
+    that sizes its arrays after the call allocates nothing over the cap.
+    The index matrices are int32 on both paths: a measure's point count
+    is far below 2**31, and consumers that keep every chunk's indices
+    (the atlas's incidence, the w-block's rows) hold half the bytes.
 
     Explicit ordinals are decoded digit by digit and their points
     gathered.  The whole stream is built by broadcasting instead: its
@@ -101,7 +105,7 @@ def combination_chunks(
     def decoded():
         for start in range(0, max(len(ordinals), 1), COMBINATION_CHUNK):
             h = np.asarray(ordinals[start:start + COMBINATION_CHUNK], dtype=np.int64)
-            idx = h[:, None] // strides % sizes
+            idx = (h[:, None] // strides % sizes).astype(np.int32)
             means = np.zeros((len(h), d))
             for i, pts in enumerate(scaled):
                 means += np.take(pts, idx[:, i], axis=0)
@@ -119,7 +123,7 @@ def combination_chunks(
             first, last = start // block, -(-stop // block)
             heads = np.arange(first, last, dtype=np.int64)[:, None] * block
             heads = heads // strides[:lead] % sizes[:lead]
-            idx = np.empty((last - first,) + sizes[lead:] + (n,), dtype=np.int64)
+            idx = np.empty((last - first,) + sizes[lead:] + (n,), dtype=np.int32)
             for i in range(lead):
                 idx[..., i] = heads[:, i].reshape((-1,) + (1,) * (n - lead))
             for i in range(lead, n):
@@ -196,16 +200,17 @@ class SupportAtlas:
     to candidate j, sorted by i, then k; ``sources(j)`` reads them as
     tuples: the pairs some combination landing on j uses.
     ``multiplicity[j]`` counts the combinations collapsing onto candidate
-    j.  On lattice data both regimes hold equal multiplicities and
-    incidence, and points equal up to an ulp (exactly equal on integer
-    lattices); the grid regime reads them off convolutions (see
-    ``build_atlas_grid``).  The exact regime also stores the candidate of
+    j: an int64 array, or an object array of Python ints when the grid
+    regime's combination count passes int64.  On lattice data both
+    regimes hold equal multiplicities and incidence, and points equal up
+    to an ulp (exactly equal on integer lattices); the grid regime reads
+    them off convolutions (see ``build_atlas_grid``).  The exact regime also stores the candidate of
     every combination, by ordinal; ``combination_candidates`` returns it
     in both regimes.
     """
 
     support_points: np.ndarray = field(repr=False)
-    multiplicity: tuple[int, ...]
+    multiplicity: np.ndarray = field(repr=False)
     regime: str
     sizes: tuple[int, ...]
     combination_total: int
@@ -256,11 +261,14 @@ def _incidence(
     candidate pointer and the measure and point index of every entry.
 
     A candidate hit by one combination takes that combination's n points,
-    one per measure, in measure order.  Only the combinations of candidates
-    hit more than once give ``candidate * P + g`` codes, where P is the
-    total point count and g numbers measure i's points from
-    ``sum(sizes[:i])``; their distinct codes, taken chunk by chunk and then
-    across chunks, are those candidates' entries in CSR order.
+    one per measure, in measure order, written straight into its slots.
+    Only the combinations of candidates hit more than once give
+    ``candidate * P + g`` codes, where P is the total point count and g
+    numbers measure i's points from ``sum(sizes[:i])``; their distinct
+    codes, taken chunk by chunk and then across chunks, are those
+    candidates' entries in CSR order.  No array here is n times the
+    combination count but the two outputs: on data in general position no
+    candidate is shared, and the lone slots are filled measure by measure.
     """
     n, npts = len(sizes), len(multiplicity)
     offsets = np.cumsum((0,) + tuple(sizes))
@@ -273,21 +281,54 @@ def _incidence(
         codes.append(_distinct((labels[hit, None] * offsets[-1] + offsets[:-1] + rows).ravel()))
     j, g = np.divmod(_distinct(np.concatenate(codes)), offsets[-1])
 
-    counts = np.where(shared, 0, n) + np.bincount(j, minlength=npts)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
+    entries = np.bincount(j, minlength=npts)
+    indptr = np.concatenate(([0], np.cumsum(np.where(shared, 0, n) + entries)))
     measure = np.empty(indptr[-1], dtype=np.int64)
     point = np.empty(indptr[-1], dtype=np.int64)
-    # the shared candidates' slots, in CSR order, are the codes' order
-    in_shared = np.repeat(shared, counts)
-    measure[in_shared] = np.searchsorted(offsets, g, side="right") - 1
-    point[in_shared] = g - offsets[measure[in_shared]]
-    # and the other slots are the lone combinations' rows, by candidate
-    combo = np.empty(npts, dtype=np.int64)
-    combo[combo_to_index] = np.arange(len(combo_to_index))
-    single = np.flatnonzero(~shared)
-    measure[~in_shared] = np.tile(np.arange(n), len(single))
-    point[~in_shared] = np.take(idx, combo[single], axis=0).ravel()
+    # the codes are sorted by candidate: code e of candidate j goes to slot
+    # indptr[j] plus its rank among j's codes
+    slot = np.arange(len(j)) + (indptr[:-1] - np.cumsum(entries) + entries)[j]
+    measure[slot] = np.searchsorted(offsets, g, side="right") - 1
+    point[slot] = g - offsets[measure[slot]]
+    # a lone candidate's n slots hold its one combination's row
+    lone = np.flatnonzero(~shared[combo_to_index])
+    slot = indptr[np.take(combo_to_index, lone)]
+    for i in range(n):
+        measure[slot + i] = i
+        point[slot + i] = np.take(idx[:, i], lone)
     return indptr, measure, point
+
+
+def _first_means(
+    chunks: Iterator[tuple[np.ndarray, np.ndarray]], total: int, n: int, quant: _Quantizer
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deduplicate a whole stream of scaled means by their keys: every
+    combination's index row, its candidate label, and each candidate's
+    scaled mean, that of the earliest combination with its key.  Labels
+    number the candidates in key order within the first chunk holding
+    them, then by that chunk; the per-chunk arrays die with this call."""
+    # Per chunk: its distinct keys with their first mean, and into the
+    # whole-stream arrays its index matrix and every combination's
+    # chunk-local label (offset to be unique across chunks).
+    chunk_keys, chunk_means = [], []
+    idx = np.empty((total, n), dtype=np.int32)
+    local = np.empty(total, dtype=np.int64)
+    start = offset = 0
+    for rows, scaled in chunks:
+        keys, first, inverse = _unique_rows(quant.keys(scaled))
+        chunk_keys.append(keys)
+        chunk_means.append(np.take(scaled, first, axis=0))
+        stop = start + len(rows)
+        idx[start:stop] = rows
+        local[start:stop] = inverse + offset
+        start = stop
+        offset += len(keys)
+    # Across chunks the earliest chunk holding a key supplies its mean.  A
+    # single chunk's keys are distinct and sorted already.
+    if len(chunk_keys) == 1:
+        return idx, local, chunk_means[0]
+    _, first, merged = _unique_rows(np.concatenate(chunk_keys))
+    return idx, merged[local], np.concatenate(chunk_means)[first]
 
 
 def build_atlas_exact(problem: Problem, cap: int = DEFAULT_COMBINATION_CAP) -> SupportAtlas:
@@ -299,49 +340,27 @@ def build_atlas_exact(problem: Problem, cap: int = DEFAULT_COMBINATION_CAP) -> S
     is derived from the combination-to-candidate map (see ``_incidence``).
     """
     quant = _Quantizer(problem)
-    # refuses over the cap before the combination-sized arrays below exist
+    # refuses over the cap before the combination-sized arrays exist
     chunks = combination_chunks(problem, quant.scaled_weights, cap=cap)
     total = problem.combination_total()
-
-    # Per chunk: its distinct keys with their first mean, its index
-    # matrix, and every combination's chunk-local label (offset to be
-    # unique across chunks).
-    chunk_keys, chunk_means, chunk_idx = [], [], []
-    local = np.empty(total, dtype=np.int64)
-    start = offset = 0
-    for idx, scaled in chunks:
-        keys, first, inverse = _unique_rows(quant.keys(scaled))
-        chunk_keys.append(keys)
-        chunk_means.append(np.take(scaled, first, axis=0))
-        chunk_idx.append(idx)
-        local[start:start + len(idx)] = inverse + offset
-        start += len(idx)
-        offset += len(keys)
-
-    # Across chunks the earliest chunk holding a key supplies its mean.  A
-    # single chunk's keys are distinct and sorted already.
-    if len(chunk_keys) == 1:
-        scaled_points, merged = chunk_means[0], None
-    else:
-        _, first, merged = _unique_rows(np.concatenate(chunk_keys))
-        scaled_points = np.concatenate(chunk_means)[first]
+    idx, labels, scaled_points = _first_means(chunks, total, problem.n, quant)
 
     # Canonical indexing: sort candidates lexicographically by coordinate.
     order = _lexsort_rows(scaled_points)
+    support_points = np.take(scaled_points, order, axis=0) / quant.scale
     npts = len(order)
-    label = np.empty(npts, dtype=np.int64)
-    label[order] = np.arange(npts)
-    if merged is not None:
-        label = label[merged]
-    combo_to_index = label[local]
+    rank = np.empty(npts, dtype=np.int64)
+    rank[order] = np.arange(npts)
+    # freed before the incidence, the atlas's peak: 32 B per combination
+    del scaled_points, order
+    combo_to_index = rank[labels]
+    del labels
     multiplicity = np.bincount(combo_to_index, minlength=npts)
-    indptr, measure, point = _incidence(
-        np.concatenate(chunk_idx), combo_to_index, multiplicity, problem.sizes
-    )
+    indptr, measure, point = _incidence(idx, combo_to_index, multiplicity, problem.sizes)
 
     return SupportAtlas(
-        support_points=np.take(scaled_points, order, axis=0) / quant.scale,
-        multiplicity=tuple(multiplicity.tolist()),
+        support_points=support_points,
+        multiplicity=multiplicity,
         regime="exact",
         sizes=problem.sizes,
         combination_total=total,
@@ -438,7 +457,7 @@ def build_atlas_grid(problem: Problem, grid: GridSpec | None = None) -> SupportA
     scaled = n * np.asarray(grid.origin) + grid.step * (candidates[:, None] // place % side)
     return SupportAtlas(
         support_points=scaled / quant.scale,
-        multiplicity=tuple(count[candidates].tolist()),
+        multiplicity=count[candidates],
         regime="grid",
         sizes=problem.sizes,
         combination_total=problem.combination_total(),
@@ -544,12 +563,5 @@ def hybrid_split(atlas: SupportAtlas) -> HybridSplit:
         budgets = np.full(atlas.point_count, n * K ** atlas.fine_grid.dim + 1, dtype=np.int64)
     else:
         budgets = np.diff(atlas.source_indptr).astype(np.int64) + 1
-    if atlas.combination_total < 2**63:
-        multiplicity = np.fromiter(atlas.multiplicity, np.int64, atlas.point_count)
-        on_y = multiplicity > budgets
-    else:
-        # grid multiplicities may pass 2**63, so compare them as Python ints
-        on_y = np.array(
-            [m > b for m, b in zip(atlas.multiplicity, budgets.tolist())], dtype=bool
-        )
-    return HybridSplit(on_y=on_y, budgets=budgets)
+    # past int64 the multiplicities are Python ints, compared exactly
+    return HybridSplit(on_y=atlas.multiplicity > budgets, budgets=budgets)
