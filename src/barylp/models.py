@@ -41,6 +41,7 @@ from .support import (
     DEFAULT_COMBINATION_CAP,
     HybridSplit,
     SupportAtlas,
+    _entries,
     combination_chunks,
 )
 
@@ -209,13 +210,12 @@ def _mass_transport(
     asm.add_columns(np.zeros(c), z_rows, -1.0)
     asm.z = candidates
 
-    # The incidence entries of the candidates, reordered by (i, j, k).
-    position = np.full(atlas.point_count, -1)
-    position[candidates] = np.arange(c)
-    pos = np.repeat(position, np.diff(indptr))
-    keep = np.flatnonzero(pos >= 0)
-    keep = keep[np.argsort(measure[keep], kind="stable")]
-    yi, pos, yk = measure[keep], pos[keep], point[keep]
+    # The incidence entries of the candidates, reordered by (i, j, k): pos
+    # is each entry's place among the candidates.
+    entry, lens = _entries(indptr, candidates)
+    order = np.argsort(measure[entry], kind="stable")
+    entry, pos = entry[order], np.repeat(np.arange(c), lens)[order]
+    yi, yk = measure[entry], point[entry]
     yj = candidates[pos]
     asm.y = np.column_stack((yi, yj, yk))
 

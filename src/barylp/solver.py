@@ -1,7 +1,8 @@
 """LP solving, MPS export, and barycenter extraction/verification.
 
-The solver is a revised simplex over an explicit dense basis inverse.  A
-solve has three steps: start, simplex, verify.
+The solver is a revised simplex over an explicit dense basis inverse for
+LPs with costs >= 0, as every barycenter model's are; ``solve`` refuses a
+negative cost.  A solve has three steps: start, simplex, verify.
 
 Start.  A fixed-transport matrix (every right-hand side positive and every
 entry 1: ``general``, and ``hybrid`` with no candidate on the
@@ -13,28 +14,31 @@ product of its rows' right-hand sides; on ``general`` that is the cost
 expected given k_i = k under the product of the marginals, so the
 centred price keeps only the interaction part of the cost.  Every plan
 with A x = b pays (A^T u).x = u.b, so the prices shift the cost of all
-feasible plans by one constant and rank them as the costs do; the phases
-still price the costs.  The plan is a triangular basis, LU-factored
+feasible plans by one constant and rank them as the costs do; phase 2
+still prices the costs.  The plan is a triangular basis, LU-factored
 (LAPACK ``dgetrf``) and inverted (``dgetri``) once.  Other
 models start from a triangular crash basis: every row with right-hand
 side 0 (the balance rows of the original, reduced and hybrid models)
 takes its cheapest column with no other nonzero in such a row, and every
 other row its artificial.  Up to a permutation that basis is
 [[D, 0], [E, I]], so its inverse [[D^-1, 0], [-E D^-1, I]] is written out
-directly.
+directly.  On the mass/transport models the crash start is dual
+feasible: a balance row's dual is its crash column's cost over its
+entry, every other row's is 0, and every column prices at >= 0.  This is
+checked, not assumed: a crash start that fails the check, or a greedy
+plan that leaves artificial mass (marginals that disagree), is replaced
+by the all-artificial slack basis, whose duals are 0 and which costs
+>= 0 make dual feasible.
 
-Simplex.  On the mass/transport models, whose costs are >= 0, the crash
-start is dual feasible: a balance row's dual is its crash column's cost
-over its entry, every other row's is 0, and every column prices at >= 0.
-This is checked, not assumed, and
-a dual feasible crash start goes to the optimum by a dual simplex with no
-phase 1 (``run_dual``).  Any other start runs the primal simplex: phase 1
-when its artificials carry mass, which the greedy start of a model with
-balanced marginals does not, then phase 2 (``run_phase``).  Between the
-two, leftover artificials that a column can replace are pivoted out.  The
-dual simplex reports an optimum only when every column prices at
-``-OPT_TOL`` or above on its refreshed duals, and phase 2 runs after it
-only when that check failed or a leftover artificial was pivoted out.
+Simplex.  A feasible greedy start runs the primal simplex, phase 2
+(``run_phase``); every other start is dual feasible and goes to the
+optimum, or to a proof of infeasibility, by a dual simplex
+(``run_dual``).  After the dual simplex, leftover artificials that a
+column can replace are pivoted out.  The dual simplex reports an optimum
+only when every column prices at ``-OPT_TOL`` or above on its refreshed
+duals, and phase 2 runs after it only when that check failed or a
+leftover artificial was pivoted out.  Costs >= 0 bound the objective
+below.
 The inverse is held row-major.  Each pivot's rank-1 change to it touches
 only the rows where the entering column of B^-1 A is nonzero; when at
 most m/5 are, ``dger`` updates just those rows, gathered, and otherwise
@@ -50,9 +54,8 @@ that depends on that basis alone, and checks the residual of A x = b
 against 1e-7 times the larger of 1 and max|b|.
 
 The model keeps every row, although the marginal rows carry n - 1
-dependencies: an artificial that no column can replace after the start,
-phase 1 or the dual simplex sits on a dependent row and stays basic at
-zero.
+dependencies: an artificial that no column can replace after the start
+or the dual simplex sits on a dependent row and stays basic at zero.
 
 Pricing reads a working set of columns, in the master/pricing split of
 column generation: when no column in it prices below ``-OPT_TOL``, one
@@ -68,9 +71,10 @@ many rows for their columns, and a smaller set cost them more than it
 saved.
 
 Primal pivots take the most negative reduced cost, and among columns
-within ``OPT_TOL`` of it the cheapest, then the lowest index, so phase 1
-ends at a vertex chosen with the cost in view; the dual simplex breaks
-its near-ties the same way.  A long degenerate streak, a sign of cycling
+within ``OPT_TOL`` of it, ties up to rounding, the cheapest, then the
+lowest index, so that the choice reads the costs rather than the last
+bits of the reduced costs; the dual simplex breaks its near-ties the
+same way.  A long degenerate streak, a sign of cycling
 on these transportation-like polytopes, switches the solve to
 smallest-index choices (Bland's rule).  Models whose dense basis would
 exceed ``MAX_BASIS_BYTES`` are refused as ``too-large``; export them in
@@ -91,7 +95,9 @@ from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork, dgetrs
 
 from .measures import Problem
 from .models import LpModel, weighted_sq_distance
-from .support import SupportAtlas, _Quantizer, _lexsort_rows, _unique_rows, combination_chunks
+from .support import (
+    SupportAtlas, _entries, _lexsort_rows, _Quantizer, _unique_rows, combination_chunks,
+)
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
@@ -113,16 +119,15 @@ class LpSolution:
 
     ``values`` holds the model variables and ``basis`` the basic ones in
     position order, never an artificial: an optimal basis has rank(A).
-    ``phase_iterations`` counts the pivots of phase 1, or of the dual
-    simplex that replaces it, and of phase 2; ``iterations`` is the total,
-    which also counts the pivots that take leftover artificials out of the
-    basis between the phases.
+    ``phase_iterations`` counts the pivots of the dual simplex and of the
+    primal simplex; ``iterations`` is the total, which also counts the
+    pivots that take leftover artificials out of the basis between them.
     ``working_set`` is the number of columns priced at the end of the
     solve: every column unless the model started greedy, and 0 when the
     model was refused as too large.
     """
 
-    # optimal | infeasible | unbounded | iteration-limit | numeric-failure | too-large
+    # optimal | infeasible | iteration-limit | numeric-failure | too-large
     status: str
     objective_value: float
     values: np.ndarray
@@ -141,47 +146,47 @@ class _Simplex:
 
     def __init__(self, model: LpModel, max_iters: int):
         # the models are built in CSC, which this reads as it is
-        A = model.constraints.asformat("csc")
-        b = np.array(model.rhs, dtype=np.float64)
-        flip = b < 0.0
-        if flip.any():
-            signs = np.where(flip, -1.0, 1.0)
-            A = sp.diags(signs).dot(A).tocsc()
-            b = b * signs
-        self.A = A
+        A = self.A = model.constraints.asformat("csc")
         # a CSR view over A's arrays, held because A.T builds a new wrapper
         # per call; pricing computes A_T @ y row-wise
         self.A_T = A.T
-        self.b = b
+        self.b = np.array(model.rhs, dtype=np.float64)
         self.cost = np.array(model.objective, dtype=np.float64)
         self.m, self.nv = A.shape
+        # the costs of the model variables, then of the artificials
+        self.costs = np.concatenate((self.cost, np.zeros(self.m)))
         self.max_iters = max_iters
         self.bland = False  # set once cycling is suspected
-        self.basis = np.arange(self.nv, self.nv + self.m, dtype=np.int64)
-        # the explicit basis inverse, row-major: pivots read and update rows
-        self.binv = np.eye(self.m)
-        self.x_basic = b.copy()
+        self.slack()
         self.iterations = 0
         self.phase_iterations = [0, 0]
         self._since_refresh = 0
         self._degenerate_streak = 0
         self._cycle_guard = 1000 + 2 * (self.m + self.nv)
         self._duals = None  # maintained incrementally, refined by refresh
-        # the phase-1 objective's tolerance, and a basic value's or a
-        # residual entry's: both scale with the right-hand side
-        self.feas_threshold = FEAS_TOL * (1.0 + float(np.abs(b).sum()))
-        self.feas_tol = FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
-        # the sorted columns priced
-        if self.fixed_transport():
+        # a basic value's or a residual entry's tolerance: it scales with
+        # the right-hand side
+        self.feas_tol = FEAS_TOL * (1.0 + float(np.abs(self.b).max(initial=0.0)))
+        fixed = self.fixed_transport()
+        if fixed:
             # the rows' column lists: A's pattern in CSR, one byte per entry
             pattern = sp.csc_matrix((np.ones(A.nnz, dtype=np.int8), A.indices, A.indptr), A.shape)
             self.greedy(pattern.tocsr())
-            self.working = np.sort(self.basis[self.basis < self.nv])
-            self.dual_start = False
         else:
             self.crash()
-            self.working = np.arange(self.nv)
-            self.dual_start = self.dual_feasible()
+        # a greedy plan that leaves no artificial mass starts phase 2; every
+        # other start is for the dual simplex and must be dual feasible: a
+        # crash that fails the check, or a greedy plan that leaves mass,
+        # gives way to the slack basis
+        self.greedy_start = fixed and bool(
+            (self.x_basic[self.basis >= self.nv] <= self.feas_tol).all()
+        )
+        if not self.greedy_start and (fixed or not self.dual_feasible()):
+            self.slack()
+        # the sorted columns priced
+        self.working = (
+            np.sort(self.basis[self.basis < self.nv]) if self.greedy_start else np.arange(self.nv)
+        )
 
     def fixed_transport(self) -> bool:
         """Whether every right-hand side is positive and every column holds
@@ -213,7 +218,7 @@ class _Simplex:
 
         Every x with A x = b pays (A^T u).x = u.b, so the centred prices
         move the cost of every feasible plan by one constant: they rank
-        plans as the costs do, and the phases still price the costs.
+        plans as the costs do, and phase 2 still prices the costs.
         """
         A = self.A
         remaining = self.b.copy()
@@ -228,9 +233,18 @@ class _Simplex:
             exhausted = support[remaining[support] <= FEAS_TOL]
             # the artificial of row r sits at basis position r
             self.basis[exhausted[0]] = col
-            entry, _ = _entries(rows, exhausted)
+            entry, _ = _entries(rows.indptr, exhausted)
             price[rows.indices[entry]] = np.inf
         self.refactor()
+
+    def slack(self) -> None:
+        """Start on the all-artificial basis: B = I and x_B = b.  Its duals
+        are 0, so every column prices at its cost, and with costs >= 0 the
+        start is dual feasible."""
+        self.basis = np.arange(self.nv, self.nv + self.m, dtype=np.int64)
+        # the explicit basis inverse, row-major: pivots read and update rows
+        self.binv = np.eye(self.m)
+        self.x_basic = self.b.copy()
 
     def crash(self) -> None:
         """Start each b = 0 row on a structural column instead of its artificial.
@@ -239,10 +253,10 @@ class _Simplex:
         ``PIVOT_TOL`` and it has no other nonzero in any b = 0 row; each row
         takes its cheapest eligible column, the lowest index on ties.  Its
         other entries lie in rows that keep their artificials, so the basis
-        is triangular up to a permutation and nonsingular, and the crash
-        columns sit at 0: the start is primal feasible, with the phase-1
-        infeasibility of the all-artificial start.  Rows with b != 0 and
-        b = 0 rows without an eligible column keep their artificials.
+        is triangular up to a permutation and nonsingular, and x_B is b:
+        the crash columns sit at 0 and the artificials carry b, as in the
+        slack basis.  Rows with b != 0 and b = 0 rows without an eligible
+        column keep their artificials.
         """
         zero_row = self.b == 0.0
         if not zero_row.any():
@@ -264,23 +278,15 @@ class _Simplex:
         self.basis[rows] = cols
         # the basis is [[D, 0], [E, I]] with D the crash entries, up to a
         # permutation: its inverse is [[D^-1, 0], [-E D^-1, I]], and x_B is b
-        entry, lens = _entries(A, cols)
+        entry, lens = _entries(A.indptr, cols)
         binv_cols = -A.data[entry] / np.repeat(pivots, lens)
         self.binv[A.indices[entry], np.repeat(rows, lens)] = binv_cols
         self.binv[rows, rows] = 1.0 / pivots
 
-    def phase_costs(self, phase: int) -> np.ndarray:
-        """The costs of the model variables, then of the artificials: phase 1
-        minimises the artificials' mass, phase 2 and the dual simplex the
-        model's cost."""
-        if phase == 1:
-            return np.concatenate((np.zeros(self.nv), np.ones(self.m)))
-        return np.concatenate((self.cost, np.zeros(self.m)))
-
     def dual_feasible(self) -> bool:
         """Whether every model column prices at ``-OPT_TOL`` or above on the
-        model-cost duals of the current basis."""
-        duals = self.phase_costs(2)[self.basis] @ self.binv
+        duals of the current basis."""
+        duals = self.costs[self.basis] @ self.binv
         reduced = self.cost - self.A_T @ duals
         reduced[self.basis[self.basis < self.nv]] = 0.0
         return bool((reduced >= -OPT_TOL).all())
@@ -291,7 +297,7 @@ class _Simplex:
         entry."""
         pos = np.flatnonzero(self.basis < self.nv)
         art = np.flatnonzero(self.basis >= self.nv)
-        entry, lens = _entries(self.A, self.basis[pos])
+        entry, lens = _entries(self.A.indptr, self.basis[pos])
         return (
             np.concatenate((self.A.indices[entry], self.basis[art] - self.nv)),
             np.concatenate((np.repeat(pos, lens), art)),
@@ -321,22 +327,22 @@ class _Simplex:
         self._since_refresh = 0
         self._duals = None
 
-    def refresh(self, costs: np.ndarray) -> None:
-        """Recompute x_B and the duals for ``costs`` from the held inverse.
+    def refresh(self) -> None:
+        """Recompute x_B and the duals from the held inverse.
 
         The residuals of both are tested explicitly against the sparse
         basis, and then each takes one step of iterative refinement.  Only
         a failed test refactors, and both are then taken from the rebuilt
         inverse.
         """
-        x_basic, duals, accurate = self._refined(costs)
+        x_basic, duals, accurate = self._refined()
         if not accurate:
             self.refactor()
-            x_basic, duals, _ = self._refined(costs)
+            x_basic, duals, _ = self._refined()
         self.x_basic, self._duals = x_basic, duals
         self._since_refresh = 0
 
-    def _refined(self, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    def _refined(self) -> tuple[np.ndarray, np.ndarray, bool]:
         """x_B and the duals from the held inverse, each refined once, and
         whether the inverse is accurate: the residuals before refinement
         within ``feas_tol``, and ``OPT_TOL`` times the costs' scale.  The
@@ -349,7 +355,7 @@ class _Simplex:
             into, read = (pos, rows) if transposed else (rows, pos)
             return rhs - np.bincount(into, values * solution[read], minlength=self.m)
 
-        binv, c_B = self.binv, costs[self.basis]
+        binv, c_B = self.binv, self.costs[self.basis]
         x_basic = binv @ self.b
         primal = residual(self.b, x_basic, False)
         x_basic += binv @ primal
@@ -426,27 +432,28 @@ class _Simplex:
         else:
             self._degenerate_streak = 0
 
-    def run_phase(self, phase: int) -> str:
-        """Price-and-pivot until the phase objective is optimal.  Duals are
-        updated incrementally between refreshes; apparent optimality is
-        re-checked once against refreshed duals.  Only the working set's
-        columns are priced, and at their optimum a sweep over every column
-        on those duals refills the set; the phase ends when the sweep finds
-        no column to add."""
+    def run_phase(self) -> str:
+        """Primal simplex (phase 2) from a primal feasible basis: price and
+        pivot until no column prices below ``-OPT_TOL``.  Duals are updated
+        incrementally between refreshes; apparent optimality is re-checked
+        once against refreshed duals.  Only the working set's columns are
+        priced, and at their optimum a sweep over every column on those
+        duals refills the set; the phase ends when the sweep finds no column
+        to add.  With costs >= 0 the objective is bounded below, so an
+        entering column that no row blocks can only come from numerics."""
         self._duals = None
         verified = False
-        costs = self.phase_costs(phase)
         # cleanup_artificials may have pivoted in a column from outside
         self.working = np.union1d(self.working, self.basis[self.basis < self.nv])
-        priced, A_T, model_cost, slot = self._priced(costs)
+        A_T, cost, slot = self._priced()
         while True:
             if self.iterations >= self.max_iters:
                 return "iteration-limit"
             if self._since_refresh >= REFACTOR_EVERY:
-                self.refresh(costs)
+                self.refresh()
             if self._duals is None:
-                self._duals = costs[self.basis] @ self.binv
-            reduced = priced - A_T @ self._duals
+                self._duals = self.costs[self.basis] @ self.binv
+            reduced = cost - A_T @ self._duals
             # basic columns price at 0; scattering over the m basis positions
             # is cheaper than a mask over every column
             basic = self.basis[self.basis < self.nv]
@@ -454,12 +461,12 @@ class _Simplex:
             entering = int(np.argmin(reduced))
             if reduced[entering] >= -OPT_TOL:
                 if not verified:
-                    self.refresh(costs)
+                    self.refresh()
                     verified = True
                     continue
-                if not self.refill(costs):
+                if not self.refill():
                     return "optimal"
-                priced, A_T, model_cost, slot = self._priced(costs)
+                A_T, cost, slot = self._priced()
                 continue
             verified = False
             if self.bland:
@@ -470,22 +477,21 @@ class _Simplex:
                 near = np.flatnonzero(reduced <= reduced[entering] + OPT_TOL)
                 if near.size > 1:
                     near = near[reduced[near] < -OPT_TOL]
-                    entering = int(near[np.argmin(model_cost[near])])
+                    entering = int(near[np.argmin(cost[near])])
             d_entering = float(reduced[entering])
             entering = int(self.working[entering])
 
             u = self.column(entering)
             blockers = np.nonzero(u > PIVOT_TOL)[0]
             if blockers.size == 0:
-                # Phase 1 is bounded below, so this can only be numerics.
-                return "numeric-failure" if phase == 1 else "unbounded"
+                return "numeric-failure"
             ratios = np.maximum(self.x_basic[blockers], 0.0) / u[blockers]
             best = float(np.min(ratios))
             ties = blockers[ratios <= best + 1e-12]
             leave_pos = int(ties[np.argmin(self.basis[ties])])
             step = max(self.x_basic[leave_pos], 0.0) / u[leave_pos]
             self.apply_pivot(entering, leave_pos, u, step, d_entering, step <= 1e-12)
-            self.phase_iterations[phase - 1] += 1
+            self.phase_iterations[1] += 1
 
     def run_dual(self) -> str:
         """Dual simplex from a dual feasible basis until x_B is feasible.
@@ -503,11 +509,10 @@ class _Simplex:
         is reported only on refreshed x_B and duals: "optimal" when every
         nonbasic reduced cost is ``-OPT_TOL`` or above on those duals, and
         "feasible" when x_B is feasible but some column prices below, which
-        leaves the optimum to phase 2.  Once the cycle guard
+        leaves the optimum to ``run_phase``.  Once the cycle guard
         trips, the infeasible position with the lowest basic index leaves
         and the tied column with the lowest index enters.
         """
-        costs = self.phase_costs(2)
         self._duals = None
         reduced = None
         verified = False
@@ -515,11 +520,11 @@ class _Simplex:
             if self.iterations >= self.max_iters:
                 return "iteration-limit"
             if self._since_refresh >= REFACTOR_EVERY:
-                self.refresh(costs)
+                self.refresh()
                 reduced = None
             if reduced is None:
                 if self._duals is None:
-                    self._duals = costs[self.basis] @ self.binv
+                    self._duals = self.costs[self.basis] @ self.binv
                 reduced = self.cost - self.A_T @ self._duals
                 reduced[self.basis[self.basis < self.nv]] = 0.0
                 # the reduced costs are updated along the leaving row, so
@@ -550,7 +555,7 @@ class _Simplex:
                     if status == "feasible" and (reduced >= -OPT_TOL).all():
                         return "optimal"
                     return status
-                self.refresh(costs)
+                self.refresh()
                 reduced = None
                 verified = True
                 continue
@@ -571,25 +576,25 @@ class _Simplex:
             reduced[self.basis[self.basis < self.nv]] = 0.0
             self.phase_iterations[0] += 1
 
-    def _priced(self, costs: np.ndarray):
+    def _priced(self):
         """What pricing reads of the priced columns, in working-set order:
-        their phase costs, their rows of A^T and their model costs, and the
-        position of every column among them (-1 outside the set).  A set
-        of every column reads the arrays themselves, with no copy."""
+        their rows of A^T and their costs, and the position of every column
+        among them (-1 outside the set).  A set of every column reads the
+        arrays themselves, with no copy."""
         if len(self.working) == self.nv:
-            return costs[:self.nv], self.A_T, self.cost, np.arange(self.nv)
+            return self.A_T, self.cost, np.arange(self.nv)
         slot = np.full(self.nv, -1, dtype=np.int64)
         slot[self.working] = np.arange(len(self.working))
-        return costs[self.working], self.A_T[self.working], self.cost[self.working], slot
+        return self.A_T[self.working], self.cost[self.working], slot
 
-    def refill(self, costs: np.ndarray) -> bool:
+    def refill(self) -> bool:
         """Sweep every column on the current duals and add to the working
         set the ``REFILL_PER_ROW`` per basic model column outside it that
         price lowest below ``-OPT_TOL``; False when no column outside it
         does, with no sweep when the set holds every column."""
         if len(self.working) == self.nv:
             return False
-        reduced = costs[:self.nv] - self.A_T @ self._duals
+        reduced = self.cost - self.A_T @ self._duals
         reduced[self.working] = 0.0  # the set holds the basic columns
         entering = np.flatnonzero(reduced < -OPT_TOL)
         if entering.size == 0:
@@ -605,7 +610,7 @@ class _Simplex:
         """Pivot out every leftover artificial that a column can replace;
         returns whether any was.
 
-        After a feasible start, phase 1 or the dual simplex every basic
+        After a feasible greedy start or the dual simplex every basic
         artificial sits at ~zero.  One that no column can replace sits on a
         dependent row: its row of B^-1 A is zero for every column, and
         stays zero under later pivots, so it stays basic at zero and no
@@ -628,16 +633,10 @@ class _Simplex:
         inside = self.basis < self.nv
         values[self.basis[inside]] = self.x_basic[inside]
         objective = float(self.cost @ values) if status == "optimal" else math.nan
-        if status == "unbounded":
-            objective = -math.inf
         return LpSolution(
             status, objective, values, self.basis[inside], self.iterations,
             tuple(self.phase_iterations), len(self.working),
         )
-
-    def infeasibility(self) -> float:
-        """The mass the basic artificials carry: the phase-1 objective."""
-        return float(self.x_basic[self.basis >= self.nv].sum())
 
 
 def solve(model: LpModel, *, max_iters: int = 100_000) -> LpSolution:
@@ -645,33 +644,30 @@ def solve(model: LpModel, *, max_iters: int = 100_000) -> LpSolution:
 
     Deterministic for fixed options.  Returns a basic (vertex) solution
     when optimal; failures are reported in ``status``, never silently.
-    A model whose dense basis would exceed ``MAX_BASIS_BYTES`` is refused
-    as ``too-large`` before anything is allocated.
+    Before anything is allocated, a negative cost raises ``ValueError``
+    and a model whose dense basis would exceed ``MAX_BASIS_BYTES`` is
+    refused as ``too-large``.
     """
+    if not (np.asarray(model.objective) >= 0.0).all():
+        raise ValueError("the simplex needs costs >= 0")
     m = model.num_constraints
     if 8 * m * m > MAX_BASIS_BYTES:
         return LpSolution("too-large", math.nan, np.zeros(model.num_vars), np.empty(0, np.int64), 0)
     state = _Simplex(model, max_iters)
 
-    # a dual feasible crash start reaches the optimum by the dual simplex;
-    # another start runs phase 1 only when it is infeasible.  Both loops
-    # report a status only on refreshed x_B and duals
+    # a feasible greedy start goes to phase 2, every other start reaches
+    # the optimum by the dual simplex.  Both loops report a status only on
+    # refreshed x_B and duals
     dual_optimal = False
-    if state.dual_start:
+    if not state.greedy_start:
         status = state.run_dual()
         if status not in ("optimal", "feasible"):
             return state.solution(status)
         dual_optimal = status == "optimal"
-    elif state.infeasibility() > state.feas_threshold:
-        status = state.run_phase(1)
-        if status != "optimal":
-            return state.solution(status)
-        if state.infeasibility() > state.feas_threshold:
-            return state.solution("infeasible")
     # phase 2 runs unless the dual simplex ended optimal and the cleanup
     # left its basis as it was
     if state.cleanup_artificials() or not dual_optimal:
-        status = state.run_phase(2)
+        status = state.run_phase()
         if status != "optimal":
             return state.solution(status)
     state.finish()
@@ -694,14 +690,6 @@ def row_potentials(
         w = np.exp(A_T @ np.log(b))
         u = (A @ (w * cost)) / (A @ w)
     return u if np.isfinite(u).all() else np.zeros(len(b))
-
-
-def _entries(A: sp.csc_matrix, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in ``A.indices``/``A.data`` of the entries of columns
-    ``cols``, column by column, and each column's entry count."""
-    starts = A.indptr[cols]
-    lens = A.indptr[cols + 1] - starts
-    return np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens), lens
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +715,17 @@ def _mps_value(v: float) -> str:
     if len(s) > 12:
         s = f"{v:.6g}"
     return s
+
+
+def _mps_pairs(name: str, pairs: list[tuple[str, float]]) -> list[str]:
+    """The lines of ``name``'s (row, value) pairs, two to a line."""
+    lines = []
+    for i in range(0, len(pairs), 2):
+        fields = [(2, name)]
+        for field, (row, value) in zip((3, 5), pairs[i:i + 2]):
+            fields += [(field, row), (field + 1, _mps_value(value))]
+        lines.append(_mps_line(*fields))
+    return lines
 
 
 def column_names(model: LpModel) -> list[str]:
@@ -769,23 +768,10 @@ def export_mps(model: LpModel, sink) -> None:
         start, end = csc.indptr[col], csc.indptr[col + 1]
         for r, v in zip(csc.indices[start:end], csc.data[start:end]):
             pairs.append((rows[r], float(v)))
-        for i in range(0, len(pairs), 2):
-            chunk = pairs[i : i + 2]
-            fields = [(2, name), (3, chunk[0][0]), (4, _mps_value(chunk[0][1]))]
-            if len(chunk) == 2:
-                fields += [(5, chunk[1][0]), (6, _mps_value(chunk[1][1]))]
-            lines.append(_mps_line(*fields))
+        lines += _mps_pairs(name, pairs)
 
     lines.append("RHS")
-    rhs_pairs = [
-        (rows[r], float(v)) for r, v in enumerate(model.rhs) if v != 0.0
-    ]
-    for i in range(0, len(rhs_pairs), 2):
-        chunk = rhs_pairs[i : i + 2]
-        fields = [(2, "RHS"), (3, chunk[0][0]), (4, _mps_value(chunk[0][1]))]
-        if len(chunk) == 2:
-            fields += [(5, chunk[1][0]), (6, _mps_value(chunk[1][1]))]
-        lines.append(_mps_line(*fields))
+    lines += _mps_pairs("RHS", [(rows[r], float(v)) for r, v in enumerate(model.rhs) if v != 0.0])
     lines.append("ENDATA")
     text = "\n".join(lines) + "\n"
 

@@ -524,6 +524,15 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     return codes[keep]
 
 
+def _entries(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the entries of columns (or rows) ``cols`` in compressed
+    arrays with pointer ``indptr``, column by column, and each column's
+    entry count: the ranges ``indptr[c]:indptr[c + 1]`` expanded."""
+    starts = indptr[cols]
+    lens = indptr[cols + 1] - starts
+    return np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens), lens
+
+
 @dataclass(frozen=True)
 class HybridSplit:
     """Per-candidate choice between variable representations.

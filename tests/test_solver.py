@@ -109,9 +109,17 @@ class TestSolve:
         )  # x = 1 and x = 2
         assert solve(model).status == "infeasible"
 
-    def test_unbounded_detected(self):
-        model = raw_model([-1.0, 0.0], [[1.0, -1.0]], [0.0])
-        assert solve(model).status == "unbounded"
+    @pytest.mark.parametrize("cost", [-1.0, math.nan])
+    def test_negative_or_nan_cost_is_refused_before_allocating(self, monkeypatch, cost):
+        # the simplex needs costs >= 0: every start but a feasible greedy
+        # one relies on the slack basis being dual feasible
+
+        def refuse(*args):
+            raise AssertionError("the simplex was set up")
+
+        monkeypatch.setattr(_Simplex, "__init__", refuse)
+        with pytest.raises(ValueError, match="costs >= 0"):
+            solve(raw_model([cost, 0.0], [[1.0, -1.0]], [0.0]))
 
     def test_solution_invariants(self):
         instances = [generators.general_position(3, 2, 2, seed=s) for s in range(4)]
@@ -130,42 +138,32 @@ class TestSolve:
                 assert np.max(np.abs(residual)) <= 1e-9
                 assert_vertex(model, solution)
 
-    def test_degenerate_cycling_instance_terminates(self, monkeypatch):
-        # Beale's cycling LP, with the last row's slack scaled by 2 so that
-        # phase 1 enters it and phase 2 starts at the textbook's degenerate
-        # vertex: the greedy rule cycles there and must hand over to the
-        # smallest-index rule to finish
+    def test_degenerate_cycling_instance_terminates(self):
+        # Beale's cycling LP, with the last row's slack scaled by 2, from
+        # the textbook's degenerate vertex {x5, x6, x7}: the greedy rule
+        # cycles there and must hand over to the smallest-index rule to
+        # finish.  Its costs, -0.75, 150, -0.02, 6, 0, 0, 0, are shifted
+        # by A^T u with u = (0, -1.5, -0.05) to be >= 0, which leaves the
+        # reduced costs of every basis of model columns as they were
         from barylp.oracle import basis_enumeration_solve
 
-        cost = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]
+        cost = [0.0, 15.0, 0.0, 10.5, 0.0, 1.5, 0.1]
         dense = [
             [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
             [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
             [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 2.0],
         ]
         model = raw_model(cost, dense, [0.0, 0.0, 1.0])
+        state = _Simplex(model, 100_000)
+        state.basis[:] = [4, 5, 6]
+        state.refactor()
+        assert state.run_phase() == "optimal"
+        assert state.bland
+        assert state.iterations > state._cycle_guard
+        state.finish()
+        solution = state.solution("optimal")
         reference = basis_enumeration_solve(model)
-        # labelled all-w, but its matrix is not fixed-transport: it keeps
-        # the crash start
-        start = _Simplex(model, 100)
-        assert not start.fixed_transport()
-        crashed = {pos: int(var) for pos, var in enumerate(start.basis) if var < start.nv}
-        assert crashed == reference_crash(model)
-
-        states = []
-        init = _Simplex.__init__
-
-        def recording_init(self, *args):
-            init(self, *args)
-            states.append(self)
-
-        monkeypatch.setattr(_Simplex, "__init__", recording_init)
-        solution = solve(model)
-        assert [state.bland for state in states] == [True]
-        assert solution.status == "optimal"
         assert solution.objective_value == pytest.approx(reference.value, abs=1e-9)
-        # a crash start prices every column
-        assert solution.working_set == model.num_vars
 
     def test_combination_ordinals_decode_round_trip(self):
         import itertools
@@ -234,25 +232,36 @@ class TestSolve:
         assert_vertex(model, solution)
 
     def test_tied_entering_columns_go_to_the_cheaper(self, monkeypatch):
-        # column 2 has the least centred price, so the start gives it row
-        # 0 and drops columns 0 and 1, and row 1's artificial keeps its
-        # mass.  Columns 0 and 1 are equal, so their phase-1 reduced costs
-        # tie; column 1 is cheaper and must enter, column 0 never
-        model = raw_model([2.0, 1.0, -1.0], [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]], [1.0, 1.0])
-        state = _Simplex(model, 100)
-        assert state.basis.tolist() == [2, 4] and state.infeasibility() == 1.0
-        entered = []
+        # a 3 x 3 transportation problem, column 3 i + j from supply i to
+        # demand j, whose greedy start is feasible.  At the one phase-2
+        # pivot columns 1 and 6 price equally on the duals; column 6 is
+        # cheaper and must enter, column 1 never
+        from barylp.oracle import basis_enumeration_solve
+
+        dense = np.vstack((np.kron(np.eye(3), np.ones(3)), np.tile(np.eye(3), 3)))
+        cost = [2.0, 1.0, 1.0, 1.0, 2.0, 3.0, 0.0, 2.0, 1.0]
+        model = raw_model(cost, dense, [0.2, 0.6, 0.2, 0.4, 0.2, 0.4])
+        assert _Simplex(model, 100).greedy_start
+        entered, prices = [], []
         apply_pivot = _Simplex.apply_pivot
 
         def recording_pivot(self, entering, *args):
             entered.append(entering)
+            if self._duals is not None:
+                prices.append(self.cost - self.A_T @ self._duals)
             apply_pivot(self, entering, *args)
 
         monkeypatch.setattr(_Simplex, "apply_pivot", recording_pivot)
         solution = solve(model)
         assert solution.status == "optimal"
-        assert solution.objective_value == pytest.approx(1.0, abs=1e-12)
-        assert entered[0] == 1 and 0 not in entered
+        assert solution.phase_iterations == (0, 1)
+        (price,) = prices
+        assert price.min() < -solver.OPT_TOL
+        assert price[1] == pytest.approx(price.min(), abs=solver.OPT_TOL)
+        assert price[6] == pytest.approx(price.min(), abs=solver.OPT_TOL)
+        assert entered[-1] == 6 and 1 not in entered
+        reference = basis_enumeration_solve(model)
+        assert solution.objective_value == pytest.approx(reference.value, abs=1e-12)
 
     @pytest.mark.parametrize("formulation,conversions", [("reduced", []), ("general", ["tocsr"])])
     def test_models_reach_the_solver_in_csc(self, monkeypatch, formulation, conversions):
@@ -367,7 +376,7 @@ class TestCrashBasis:
         assert state.x_basic.min() >= -FEAS_TOL
         assert np.abs(state.x_basic[list(expected)]).max() <= FEAS_TOL
         artificial = state.basis >= nv
-        # same phase-1 infeasibility as the all-artificial start
+        # the artificials carry b, as in the slack basis
         assert state.x_basic[artificial].sum() == pytest.approx(model.rhs.sum())
 
     @pytest.mark.parametrize("instance", ["grid", "mixed"])
@@ -417,6 +426,14 @@ def dual_model(instance, formulation):
     )
 
 
+def starts_on_the_crash(model):
+    """Whether the model starts from its crash basis, dual feasible, for
+    the dual simplex."""
+    state = _Simplex(model, 100)
+    crashed = {pos: int(var) for pos, var in enumerate(state.basis) if var < state.nv}
+    return not state.greedy_start and crashed == reference_crash(model) and state.dual_feasible()
+
+
 def general_objective(instance):
     p = {
         "grid": lambda: generators.grid(3, 3, 2, seed=44),
@@ -427,7 +444,8 @@ def general_objective(instance):
 
 
 def record_loops(monkeypatch):
-    """Patch the simplex loops to append "dual", 1 or 2 to a list as they run."""
+    """Patch the simplex loops to append "dual" or "primal" to a list as
+    they run."""
     loops = []
     run_dual, run_phase = _Simplex.run_dual, _Simplex.run_phase
 
@@ -435,9 +453,9 @@ def record_loops(monkeypatch):
         loops.append("dual")
         return run_dual(self)
 
-    def recording_phase(self, phase):
-        loops.append(phase)
-        return run_phase(self, phase)
+    def recording_phase(self):
+        loops.append("primal")
+        return run_phase(self)
 
     monkeypatch.setattr(_Simplex, "run_dual", recording_dual)
     monkeypatch.setattr(_Simplex, "run_phase", recording_phase)
@@ -459,7 +477,7 @@ class TestDualSimplex:
         self, monkeypatch, instance, formulation
     ):
         model = dual_model(instance, formulation)
-        assert _Simplex(model, 100).dual_start
+        assert starts_on_the_crash(model)
         loops = record_loops(monkeypatch)
         solution = solve(model)
         # the dual loop's optimum stands: no artificial is left to pivot out
@@ -477,40 +495,48 @@ class TestDualSimplex:
         rhs = model.rhs.copy()
         rhs[len(model.balance):][model.marginal[:, 0] == 0] *= 1.5
         model = replace(model, rhs=rhs)
-        assert _Simplex(model, 100).dual_start
+        assert starts_on_the_crash(model)
         loops = record_loops(monkeypatch)
         assert solve(model).status == "infeasible"
         assert loops == ["dual"]
 
     def test_dual_loop_ends_feasible_when_a_column_prices_below(self, monkeypatch):
-        # the crash start on columns 0 and 1 is feasible, and column 2, at
-        # cost -5, prices at -7 on its duals; passed off as dual feasible,
-        # the start leaves the dual loop "feasible" and phase 2 pivots
-        model = raw_model([1.0, 1.0, -5.0], [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [0.0, 0.0])
-        state = _Simplex(model, 100)
-        assert list(state.basis) == [0, 1] and not state.dual_start
-        assert state.run_dual() == "feasible"
+        # the crash start on columns 0 and 1 is feasible, and column 2, in
+        # both rows with entry 2, prices at 1 - 4 = -3 on its duals; passed
+        # off as dual feasible, the start leaves the dual loop "feasible"
+        # and phase 2 pivots
+        model = raw_model([1.0, 1.0, 1.0], [[1.0, 0.0, 2.0], [0.0, 1.0, 2.0]], [0.0, 0.0])
+        dual_feasible = _Simplex.dual_feasible
         monkeypatch.setattr(_Simplex, "dual_feasible", lambda self: True)
+        state = _Simplex(model, 100)
+        assert list(state.basis) == [0, 1] and not dual_feasible(state)
+        assert state.run_dual() == "feasible"
         loops = record_loops(monkeypatch)
         solution = solve(model)
-        assert loops == ["dual", 2]
+        assert loops == ["dual", "primal"]
         assert solution.status == "optimal" and solution.objective_value == 0.0
         assert solution.phase_iterations == (0, 1)
         assert_optimal_on_every_column(model, solution)
 
-    def test_start_that_is_not_dual_feasible_runs_phase_1(self, monkeypatch):
-        # row 1 has b = 0 and crashes onto column 1; column 3, only in row 0,
-        # costs -1 and prices below 0 on the start's duals
-        model = raw_model(
-            [1.0, 1.0, 1.0, -1.0], [[1.0, 1.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0]], [1.0, 0.0]
-        )
+    def test_start_that_is_not_dual_feasible_takes_the_slack_basis(self, monkeypatch):
+        # row 1 has b = 0 and crashes onto column 1, the lower index of the
+        # two cheapest; on the crash duals column 2, with entry 2 there,
+        # prices at 1 - 2 = -1.  The start falls back to the slack basis,
+        # dual feasible as the costs are >= 0, and the dual loop solves
+        from barylp.oracle import basis_enumeration_solve
+
+        model = raw_model([1.0, 1.0, 1.0], [[1.0, 1.0, 0.0], [0.0, 1.0, 2.0]], [1.0, 0.0])
         state = _Simplex(model, 100)
-        assert state.basis[1] == 1 and not state.dual_start
+        assert state.basis.tolist() == [3, 4] and not state.greedy_start
+        state.crash()
+        assert state.basis.tolist() == [3, 1] and not state.dual_feasible()
         loops = record_loops(monkeypatch)
         solution = solve(model)
-        assert loops == [1, 2]
+        assert loops[0] == "dual"
         assert solution.status == "optimal"
-        assert solution.objective_value == pytest.approx(-1.0, abs=1e-12)
+        assert solution.objective_value == pytest.approx(
+            basis_enumeration_solve(model).value, abs=1e-12
+        )
         assert solution.phase_iterations[0] > 0
         assert_vertex(model, solution)
 
@@ -524,13 +550,13 @@ class TestDualSimplex:
         checks = []
         refresh, refined = _Simplex.refresh, _Simplex._refined
 
-        def corrupting_refresh(self, costs):
+        def corrupting_refresh(self):
             if not checks:
                 self.binv *= 1.0 + error
-            refresh(self, costs)
+            refresh(self)
 
-        def recording_refined(self, costs):
-            result = refined(self, costs)
+        def recording_refined(self):
+            result = refined(self)
             checks.append(result[2])
             return result
 
@@ -555,7 +581,8 @@ class TestDualSimplex:
             [[2.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [2.0, 1.0, 1.0, 1.0]],
             [b0, b1, b0 + b1],
         )
-        assert _Simplex(model, 100).dual_start
+        # no b = 0 row to crash: the slack basis starts the dual loop
+        assert not _Simplex(model, 100).greedy_start
         loops = record_loops(monkeypatch)
         solution = solve(model)
         assert loops == ["dual"]
@@ -653,7 +680,7 @@ class TestCleanup:
         assert solution.status == "optimal"
         assert seen == [2, 0]
         # the cleanup moved the basis, so phase 2 confirms the optimum
-        assert loops == ["dual", 2]
+        assert loops == ["dual", "primal"]
         assert_vertex(model, solution)
 
 
@@ -739,7 +766,7 @@ class TestGreedyStart:
         full = sp.hstack([model.constraints, sp.identity(state.m)], format="csc")
         assert np.linalg.matrix_rank(full[:, state.basis].toarray()) == state.m
         assert state.x_basic.min() >= -FEAS_TOL
-        assert state.infeasibility() <= state.feas_threshold
+        assert state.greedy_start
 
         solution = solve(model)
         assert solution.status == "optimal"
@@ -750,25 +777,19 @@ class TestGreedyStart:
         assert_vertex(model, solution)
         assert_optimal_on_every_column(model, solution)
 
-    def test_disagreeing_marginals_are_infeasible_through_phase_1(self, monkeypatch):
+    def test_disagreeing_marginals_are_infeasible_through_the_dual_loop(self, monkeypatch):
+        # the greedy plan leaves mass on an artificial, so the start falls
+        # back to the slack basis, and the dual loop proves infeasibility
         model = build_general(greedy_instance("n=2"))
         rhs = model.rhs.copy()
         rhs[model.marginal[:, 0] == 0] *= 1.5  # measure 0 now has mass 1.5
         model = replace(model, rhs=rhs)
         state = _Simplex(model, 100)
-        assert (state.basis < state.nv).any()
-        assert state.infeasibility() > state.feas_threshold
-
-        phases = []
-        run_phase = _Simplex.run_phase
-
-        def recording_phase(self, phase):
-            phases.append(phase)
-            return run_phase(self, phase)
-
-        monkeypatch.setattr(_Simplex, "run_phase", recording_phase)
+        assert state.fixed_transport() and not state.greedy_start
+        assert (state.basis >= state.nv).all()
+        loops = record_loops(monkeypatch)
         assert solve(model).status == "infeasible"
-        assert phases == [1]
+        assert loops == ["dual"]
 
     @pytest.mark.parametrize("instance", ["gp", "mixed"])
     def test_only_fixed_transport_matrices_start_greedy(self, instance):
@@ -882,8 +903,8 @@ class TestWorkingSet:
         sweeps = []
         refill = _Simplex.refill
 
-        def recording_refill(self, costs):
-            sweeps.append(refill(self, costs))
+        def recording_refill(self):
+            sweeps.append(refill(self))
             return sweeps[-1]
 
         monkeypatch.setattr(_Simplex, "refill", recording_refill)
